@@ -278,7 +278,7 @@ let e17_speedups ~domains ~assert_bounds () =
      up so per-seed work dominates the domain-spawn overhead *)
   let scn =
     Automode_robust.Scenario.make ~schedule:Robustness.lock_schedule
-      ~name:"door-lock-xl" ~component:Door_lock.component ~ticks:2000
+      ~events:Robustness.lock_events ~name:"door-lock-xl" ~component:Door_lock.component ~ticks:2000
       ~inputs:Robustness.lock_stimulus ~faults:Robustness.lock_faults
       ~monitors:Robustness.lock_monitors ()
   in
@@ -612,8 +612,9 @@ let e21_batch ~domains () =
     ("core/E21-batch-cold-1000x32", t_cold *. 1e9);
     ("core/E21-batch-warm-1000x32", t_warm *. 1e9) ]
 
-(* E22: checkpointed prefix-sharing campaign execution (Sim.Snapshot +
-   fork-from-divergence scheduling).  Two workloads whose faults all
+(* E22: the campaign executor's prefix-sharing plan (Robust.Exec: batch
+   snapshots + fork-from-divergence scheduling) vs. its looped
+   reference ([~prefix_share:false]).  Two workloads whose faults all
    activate late in the horizon, so almost the whole simulation is a
    shared fault-free prefix:
 
@@ -624,9 +625,9 @@ let e21_batch ~domains () =
      >= 0.93 * horizon: prefix-shared must be >= 2x the loop.
 
    Both ratios compare two measurements from the same process, so they
-   are stable on noisy runners, and report byte-identity (serial,
-   --domains, --instances and their cross product) is asserted whenever
-   the section runs.  The prefix counters of the shared sweep are
+   are stable on noisy runners, and report byte-identity (default plan,
+   looped reference and --domains) is asserted whenever the section
+   runs.  The prefix counters of the shared sweep are
    printed as the shared/replayed-ticks table of EXPERIMENTS E22. *)
 let e22_prefix ~domains () =
   section "E22 | prefix sharing: checkpointed campaigns vs straight loops";
@@ -678,8 +679,8 @@ let e22_prefix ~domains () =
   let config =
     { L.Synth.bound = 2; max_scenarios = 100_000; shrink = false }
   in
-  let synth ~prefix_share ?(instances = 1) () =
-    L.Synth.run ~config ~instances ~prefix_share ~twin ~alphabet ()
+  let synth ~prefix_share ?(domains = 1) () =
+    L.Synth.run ~config ~domains ~prefix_share ~twin ~alphabet ()
   in
   let t_lit_loop = min_time (fun () -> synth ~prefix_share:false ()) in
   let t_lit_shared = min_time (fun () -> synth ~prefix_share:true ()) in
@@ -688,7 +689,7 @@ let e22_prefix ~domains () =
     List.for_all
       (fun r -> String.equal lit_ref (L.Synth.to_text (r ())))
       [ (fun () -> synth ~prefix_share:true ());
-        (fun () -> synth ~prefix_share:true ~instances:32 ()) ]
+        (fun () -> synth ~prefix_share:true ~domains ()) ]
   in
   let ratio_lit = t_lit_loop /. t_lit_shared in
   Printf.printf
@@ -712,9 +713,8 @@ let e22_prefix ~domains () =
         [ R.Monitor.range ~name:"volt-range" ~flow:"FZG_V" ~lo:0. ~hi:48. ]
       ()
   in
-  let sweep ~prefix_share ?(domains = 1) ?(instances = 1) () =
-    R.Scenario.sweep ~shrink:false ~domains ~instances ~prefix_share scn
-      ~seeds
+  let sweep ~prefix_share ?(domains = 1) () =
+    R.Scenario.sweep ~shrink:false ~domains ~prefix_share scn ~seeds
   in
   let t_sw_loop = min_time (fun () -> sweep ~prefix_share:false ()) in
   let t_sw_shared = min_time (fun () -> sweep ~prefix_share:true ()) in
@@ -723,15 +723,13 @@ let e22_prefix ~domains () =
     List.for_all
       (fun r -> String.equal sw_ref (R.Report.to_text (r ())))
       [ (fun () -> sweep ~prefix_share:true ());
-        (fun () -> sweep ~prefix_share:true ~domains ());
-        (fun () -> sweep ~prefix_share:true ~instances:64 ());
-        (fun () -> sweep ~prefix_share:true ~domains ~instances:64 ()) ]
+        (fun () -> sweep ~prefix_share:true ~domains ()) ]
   in
   let ratio_sw = t_sw_loop /. t_sw_shared in
   Printf.printf
     "robustness sweep, %d seeds x %d ticks, dropout windows from t>=186: \
      looped %.1f ms, prefix-shared %.1f ms (%.1fx); reports \
-     byte-identical (serial/domains/instances/both): %b\n"
+     byte-identical (serial/domains): %b\n"
     (List.length seeds) sweep_ticks (t_sw_loop *. 1e3) (t_sw_shared *. 1e3)
     ratio_sw sw_identical;
   (* shared/replayed tick accounting of the shared sweep (the

@@ -319,26 +319,6 @@ let domains_arg =
                  in seed order, so the report is identical to a serial \
                  run.")
 
-let instances_arg =
-  Arg.(value & opt int 1
-       & info [ "instances" ] ~docv:"N"
-           ~doc:"Batch up to $(docv) simulations per domain through the \
-                 struct-of-arrays engine (default 1 = looped).  Purely a \
-                 throughput knob: verdicts keep seed order and every \
-                 report is byte-identical to the looped run.")
-
-let no_prefix_share_flag =
-  Arg.(value & flag
-       & info [ "no-prefix-share" ]
-           ~doc:"Disable checkpointed prefix sharing: by default the \
-                 campaign simulates the fault-free prefix shared by the \
-                 cases once, snapshots at each divergence tick and \
-                 replays only suffixes.  Purely a throughput knob — \
-                 every report is byte-identical either way — so this \
-                 escape hatch exists for benchmarking and for custom \
-                 schedules that consult the fault list before its first \
-                 activation.")
-
 (* Validation shared by the campaign/profile commands: seed counts,
    explicit seeds and domain counts must be positive — a zero-seed
    campaign would trivially "pass" its gate, so it is rejected loudly
@@ -428,11 +408,9 @@ let make_cache cache_dir =
   Option.map (fun dir -> Serve.Cache.create ~dir ()) cache_dir
 
 let robustness_cmd =
-  let run seeds count csv no_shrink engine horizon domains instances
-      no_prefix_share out metrics trace_out cache_dir =
+  let run seeds count csv no_shrink engine horizon domains out metrics
+      trace_out cache_dir =
     validate_positive "--domains" domains;
-    validate_positive "--instances" instances;
-    let prefix_share = not no_prefix_share in
     let seeds = resolve_seeds seeds count in
     let cache = make_cache cache_dir in
     (* CI gate: any failing scenario makes the run exit non-zero *)
@@ -441,7 +419,7 @@ let robustness_cmd =
       let campaign, _ =
         with_observability ~metrics ~trace_out (fun () ->
             Serve.Catalog.robustness ?cache ~shrink:(not no_shrink) ~domains
-              ~instances ~prefix_share ~seeds ())
+              ~seeds ())
       in
       emit out (Automode_robust.Report.to_csv campaign);
       if campaign.Automode_robust.Scenario.failures <> [] then exit 1
@@ -450,7 +428,7 @@ let robustness_cmd =
       let outcome, appendix =
         with_observability ~metrics ~trace_out (fun () ->
             Serve.Catalog.run ?cache ~shrink:(not no_shrink) ~domains
-              ~instances ~prefix_share ~horizon ~kind:Serve.Job.Robustness
+              ~horizon ~kind:Serve.Job.Robustness
               ~engine ~seeds ())
       in
       emit out (append_appendix outcome.Serve.Catalog.report appendix);
@@ -473,22 +451,20 @@ let robustness_cmd =
           (deterministic: the same seeds reproduce the same report)")
     Term.(const run $ seed_list_arg $ seed_count_arg $ csv_flag
           $ no_shrink_flag $ engine_flag $ horizon_arg $ domains_arg
-          $ instances_arg $ no_prefix_share_flag $ out_arg $ metrics_arg
+          $ out_arg $ metrics_arg
           $ trace_out_arg $ cache_dir_arg)
 
 let guard_cmd =
-  let run seeds count no_shrink engine horizon domains instances
-      no_prefix_share out metrics trace_out cache_dir =
+  let run seeds count no_shrink engine horizon domains out metrics trace_out
+      cache_dir =
     validate_positive "--domains" domains;
-    validate_positive "--instances" instances;
-    let prefix_share = not no_prefix_share in
     let seeds = resolve_seeds seeds count in
     let cache = make_cache cache_dir in
     (* only the guarded side gates: the unguarded run is the contrast *)
     let outcome, appendix =
       with_observability ~metrics ~trace_out (fun () ->
-          Serve.Catalog.run ?cache ~shrink:(not no_shrink) ~domains ~instances
-            ~prefix_share ~horizon ~kind:Serve.Job.Guard ~engine ~seeds ())
+          Serve.Catalog.run ?cache ~shrink:(not no_shrink) ~domains
+            ~horizon ~kind:Serve.Job.Guard ~engine ~seeds ())
     in
     emit out (append_appendix outcome.Serve.Catalog.report appendix);
     if not outcome.Serve.Catalog.gate_ok then exit 1
@@ -508,24 +484,22 @@ let guard_cmd =
           limp-home manager, E2E frames, scheduler watchdog); exits \
           non-zero if the guarded side fails")
     Term.(const run $ seed_list_arg $ seed_count_arg $ no_shrink_flag
-          $ engine_flag $ horizon_arg $ domains_arg $ instances_arg
-          $ no_prefix_share_flag $ out_arg $ metrics_arg $ trace_out_arg
+          $ engine_flag $ horizon_arg $ domains_arg
+          $ out_arg $ metrics_arg $ trace_out_arg
           $ cache_dir_arg)
 
 let redund_cmd =
-  let run seeds count no_shrink horizon domains instances no_prefix_share
-      out metrics trace_out cache_dir =
+  let run seeds count no_shrink horizon domains out metrics trace_out
+      cache_dir =
     validate_positive "--domains" domains;
-    validate_positive "--instances" instances;
-    let prefix_share = not no_prefix_share in
     let seeds = resolve_seeds seeds count in
     let cache = make_cache cache_dir in
     (* the protected configurations gate; the simplex and single-channel
        legs are the contrast *)
     let outcome, appendix =
       with_observability ~metrics ~trace_out (fun () ->
-          Serve.Catalog.run ?cache ~shrink:(not no_shrink) ~domains ~instances
-            ~prefix_share ~horizon ~kind:Serve.Job.Redund ~engine:false
+          Serve.Catalog.run ?cache ~shrink:(not no_shrink) ~domains
+            ~horizon ~kind:Serve.Job.Redund ~engine:false
             ~seeds ())
     in
     emit out (append_appendix outcome.Serve.Catalog.report appendix);
@@ -540,19 +514,17 @@ let redund_cmd =
           dual-channel TT bus); exits non-zero if a protected \
           configuration fails")
     Term.(const run $ seed_list_arg $ seed_count_arg $ no_shrink_flag
-          $ horizon_arg $ domains_arg $ instances_arg $ no_prefix_share_flag
+          $ horizon_arg $ domains_arg
           $ out_arg $ metrics_arg $ trace_out_arg $ cache_dir_arg)
 
 let proptest_cmd =
   let module B = Automode_proptest.Builder in
-  let run seeds count no_shrink iterations target domains instances
-      no_prefix_share out metrics trace_out cache_dir =
+  let run seeds count no_shrink iterations target domains out metrics
+      trace_out cache_dir =
     validate_positive "--domains" domains;
-    validate_positive "--instances" instances;
     validate_positive "--iterations" iterations;
     let seeds = resolve_seeds seeds count in
     let shrink = not no_shrink in
-    let prefix_share = not no_prefix_share in
     match target with
     | "pair" ->
       (* The paired comparison routes through the serve catalog, so the
@@ -561,8 +533,8 @@ let proptest_cmd =
       let cache = make_cache cache_dir in
       let outcome, appendix =
         with_observability ~metrics ~trace_out (fun () ->
-            Serve.Catalog.proptest ?cache ~shrink ~domains ~instances
-              ~prefix_share ~iterations ~seeds ())
+            Serve.Catalog.proptest ?cache ~shrink ~domains
+              ~iterations ~seeds ())
       in
       emit out (append_appendix outcome.Serve.Catalog.report appendix);
       if not outcome.Serve.Catalog.gate_ok then exit 1
@@ -575,7 +547,7 @@ let proptest_cmd =
       in
       let campaign, appendix =
         with_observability ~metrics ~trace_out (fun () ->
-            B.run ~shrink ~domains ~instances ~prefix_share
+            B.run ~shrink ~domains
               (B.with_iterations iterations spec)
               ~seeds)
       in
@@ -613,8 +585,8 @@ let proptest_cmd =
           Reports are byte-identical across reruns, --domains fan-outs \
           and daemon-served execution")
     Term.(const run $ seed_list_arg $ seed_count_arg $ no_shrink_flag
-          $ iterations_arg $ target_arg $ domains_arg $ instances_arg
-          $ no_prefix_share_flag $ out_arg $ metrics_arg $ trace_out_arg
+          $ iterations_arg $ target_arg $ domains_arg
+          $ out_arg $ metrics_arg $ trace_out_arg
           $ cache_dir_arg)
 
 let litmus_cmd =
@@ -632,13 +604,11 @@ let litmus_cmd =
         e;
       exit 1
   in
-  let run bound max_scenarios engine domains instances no_prefix_share
-      replay suite_out out metrics trace_out cache_dir =
+  let run bound max_scenarios engine domains replay suite_out out metrics
+      trace_out cache_dir =
     validate_positive "--bound" bound;
     validate_positive "--max-scenarios" max_scenarios;
     validate_positive "--domains" domains;
-    validate_positive "--instances" instances;
-    let prefix_share = not no_prefix_share in
     let engine = resolve_engine engine in
     match replay with
     | Some path ->
@@ -664,8 +634,8 @@ let litmus_cmd =
       let cache = make_cache cache_dir in
       let result, appendix =
         with_observability ~metrics ~trace_out (fun () ->
-            Serve.Catalog.litmus_result ?cache ~domains ~instances
-              ~prefix_share ~bound ~max_scenarios ~engine ())
+            Serve.Catalog.litmus_result ?cache ~domains
+              ~bound ~max_scenarios ~engine ())
       in
       emit out (append_appendix (Synth.to_text result) appendix);
       Option.iter
@@ -721,7 +691,7 @@ let litmus_cmd =
           violated.  --replay re-checks a pinned suite and exits \
           non-zero on any regression")
     Term.(const run $ bound_arg $ max_scenarios_arg $ engine_arg
-          $ domains_arg $ instances_arg $ no_prefix_share_flag $ replay_arg
+          $ domains_arg $ replay_arg
           $ suite_out_arg $ out_arg $ metrics_arg $ trace_out_arg
           $ cache_dir_arg)
 

@@ -114,13 +114,15 @@ let guarded_monitors =
         ~flow:(Health.qualified_flow "FZG_V") ~lo:5. ~hi:32. ]
 
 let unguarded_scenario =
-  Scenario.make ~schedule:Robustness.lock_schedule ~name:"door-lock-unguarded"
+  Scenario.make ~schedule:Robustness.lock_schedule
+    ~events:Robustness.lock_events ~name:"door-lock-unguarded"
     ~component:Door_lock.component ~ticks:Robustness.lock_ticks
     ~inputs:Robustness.lock_stimulus ~faults:guard_faults
     ~monitors:functional_monitors ()
 
 let guarded_scenario =
-  Scenario.make ~schedule:Robustness.lock_schedule ~name:"door-lock-guarded"
+  Scenario.make ~schedule:Robustness.lock_schedule
+    ~events:Robustness.lock_events ~name:"door-lock-guarded"
     ~component ~ticks:Robustness.lock_ticks ~inputs:Robustness.lock_stimulus
     ~faults:guard_faults ~monitors:guarded_monitors ()
 
@@ -175,7 +177,8 @@ let recovery_monitors =
       ~after:outage_last_active ~within:6 () ]
 
 let recovery_scenario =
-  Scenario.make ~schedule:Robustness.lock_schedule ~name:"door-lock-recovery"
+  Scenario.make ~schedule:Robustness.lock_schedule
+    ~events:Robustness.lock_events ~name:"door-lock-recovery"
     ~component ~ticks:Robustness.lock_ticks ~inputs:Robustness.lock_stimulus
     ~faults:outage_faults ~monitors:recovery_monitors ()
 

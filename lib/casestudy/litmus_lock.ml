@@ -7,9 +7,6 @@ let horizon = Robustness.lock_ticks
 
 let lit name = Dtype.enum_value Door_lock.lock_status name
 
-let base_schedule _faults name tick =
-  String.equal name "crash" && tick = Robustness.crash_tick
-
 (* Unlike Propcase there are no generators: litmus scenarios come from
    the enumerated alphabet below, not from (seed, iteration) draws.
    Both twins carry the functional monitors (requests answered, crash
@@ -19,7 +16,7 @@ let base_schedule _faults name tick =
 let spec ~name ~component ~ranges ~observers =
   Builder.spec ~name ~component ~ticks:horizon
     ~inputs:Robustness.lock_stimulus ()
-  |> Builder.with_schedule base_schedule
+  |> Builder.with_schedule Robustness.lock_schedule
   |> Builder.with_event ~event:"crash" ~flow:"CRSH"
   |> Builder.with_derived_monitors ~ranges
   |> Builder.with_monitors Guarded.functional_monitors
@@ -73,8 +70,8 @@ let alphabet =
            (Automode_robust.Fault.Window { from_tick = 20; until_tick = 27 }))
     ]
 
-let synthesize ?cache ?config ?domains ?instances ?prefix_share ?engine () =
-  Synth.run ?cache ?config ?domains ?instances ?prefix_share
+let synthesize ?cache ?config ?domains ?prefix_share ?engine () =
+  Synth.run ?cache ?config ?domains ?prefix_share
     ~twin:(twin ?engine ()) ~alphabet ()
 
 let replay ?domains ?model ?engine suite =

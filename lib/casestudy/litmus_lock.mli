@@ -36,14 +36,10 @@ val alphabet : Alphabet.t
 
 val synthesize :
   ?cache:Synth.cache -> ?config:Synth.config -> ?domains:int ->
-  ?instances:int -> ?prefix_share:bool -> ?engine:Builder.engine -> unit ->
-  Synth.result
+  ?prefix_share:bool -> ?engine:Builder.engine -> unit -> Synth.result
 (** {!Automode_litmus.Synth.run} over {!twin} and {!alphabet};
-    [?instances] batches uncached scenario evaluations through the
-    struct-of-arrays engine and [?prefix_share] (default [true]) shares
-    the fault-free prefix across scenarios via
-    {!Automode_robust.Prefix} — both byte-identical to the looped
-    evaluation. *)
+    [~prefix_share:false] forces the looped reference evaluation —
+    byte-identical to the executor's default plan. *)
 
 val replay :
   ?domains:int -> ?model:string -> ?engine:Builder.engine ->

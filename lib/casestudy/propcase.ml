@@ -23,13 +23,10 @@ let generators =
     Opgen.reset ~weight:1 ~max_down:4 ~flows:[ "FZG_V" ] ();
     Opgen.crash ~weight:1 ~flows:[ "FZG_V" ] () ]
 
-let base_schedule _faults name tick =
-  String.equal name "crash" && tick = Robustness.crash_tick
-
 let common ~name ~component ~ranges ~observers =
   Builder.spec ~name ~component ~ticks:horizon
     ~inputs:Robustness.lock_stimulus ()
-  |> Builder.with_schedule base_schedule
+  |> Builder.with_schedule Robustness.lock_schedule
   |> Builder.with_event ~event:"crash" ~flow:"CRSH"
   |> Builder.with_ops ~min_ops:2 ~max_ops:8 generators
   |> Builder.with_derived_monitors ~ranges
@@ -50,10 +47,9 @@ type comparison = {
   guarded : Builder.campaign;
 }
 
-let run ?shrink ?domains ?instances ?prefix_share ?(iterations = 2) ~seeds ()
-    =
+let run ?shrink ?domains ?prefix_share ?(iterations = 2) ~seeds () =
   let sweep spec =
-    Builder.run ?shrink ?domains ?instances ?prefix_share
+    Builder.run ?shrink ?domains ?prefix_share
       (Builder.with_iterations iterations spec)
       ~seeds
   in

@@ -38,14 +38,11 @@ type comparison = {
 }
 
 val run :
-  ?shrink:bool -> ?domains:int -> ?instances:int -> ?prefix_share:bool ->
+  ?shrink:bool -> ?domains:int -> ?prefix_share:bool ->
   ?iterations:int -> seeds:int list -> unit -> comparison
 (** Run both specs over the same seeds ([?iterations] sequences per
     seed, default 2).  Deterministic: byte-identical across reruns,
-    engines, [?domains], [?instances] (the latter batches cases
-    through the struct-of-arrays engine) and [?prefix_share] (default
-    [true], shares the fault-free prefix across generated sequences;
-    see {!Builder.run}). *)
+    engines, [?domains] and [?prefix_share] (see {!Builder.run}). *)
 
 val contrast_holds : comparison -> bool
 (** The expected shape: the unguarded campaign has at least one

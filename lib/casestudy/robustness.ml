@@ -48,13 +48,8 @@ let lock_faults seed =
 
 (* The crash event clock must fire for the base crash and for every
    injected CRSH spike — and track the fault set while shrinking. *)
-let lock_schedule faults =
-  let crash_faults =
-    List.filter (fun f -> String.equal (Fault.flow f) "CRSH") faults
-  in
-  Fault.schedule_of_faults
-    ~base:(fun name tick -> String.equal name "crash" && tick = crash_tick)
-    crash_faults ~event:"crash"
+let lock_schedule name tick = String.equal name "crash" && tick = crash_tick
+let lock_events = [ ("crash", "CRSH") ]
 
 let is_lit ty lit v = Value.equal v (Dtype.enum_value ty lit)
 
@@ -72,7 +67,7 @@ let lock_monitors =
     Monitor.range ~name:"voltage-plausible" ~flow:"FZG_V" ~lo:5. ~hi:32. ]
 
 let door_lock_scenario =
-  Scenario.make ~schedule:lock_schedule ~name:"door-lock"
+  Scenario.make ~schedule:lock_schedule ~events:lock_events ~name:"door-lock"
     ~component:Door_lock.component ~ticks:lock_ticks ~inputs:lock_stimulus
     ~faults:lock_faults ~monitors:lock_monitors ()
 

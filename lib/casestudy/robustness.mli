@@ -17,9 +17,12 @@ val lock_stimulus : Sim.input_fn
     at ticks 2 and 22, an unlock request at tick 12, a crash at
     [crash_tick]. *)
 
-val lock_schedule : Fault.t list -> Clock.schedule
-(** Fires the [crash] event clock at [crash_tick] and wherever an
-    injected CRSH fault is active. *)
+val lock_schedule : Clock.schedule
+(** Fires the [crash] event clock at [crash_tick]. *)
+
+val lock_events : (string * string) list
+(** [[("crash", "CRSH")]]: the [crash] event clock also fires wherever
+    an injected CRSH fault is active ({!Fault.event_schedule}). *)
 
 val is_lit : Dtype.t -> string -> Value.t -> bool
 (** [is_lit ty name v]: [v] is the enum literal [name] of [ty]. *)

@@ -1002,15 +1002,11 @@ let indexed_step ?(schedule = Clock.no_events) ~tick ~inputs (ix : indexed)
     List.map (fun port -> (port, lookup_outputs outs port)) ix.ix_out_ports
   | Some _, Xst_atomic _ -> sim_error "indexed behavior/state shape mismatch"
 
-(* The tick loop shared by [run_indexed] (span [0, ticks)) and the
-   snapshot machinery (spans that stop at a capture tick or resume from
-   one).  A straight run and a capture+resume pair execute the exact
-   same sequence of loop bodies — that is the whole byte-identity
-   argument, so keep this the single copy of the body. *)
-let ix_run_span ~schedule ~start ~stop ~inputs (ix : indexed) state trace =
+let run_indexed ?(schedule = Clock.no_events) ~ticks ~inputs (ix : indexed) =
   let in_names = ix.ix_in_ports in
+  let state = indexed_init ix in
   let rec go tick trace =
-    if tick >= stop then trace
+    if tick >= ticks then trace
     else begin
       let offered = inputs tick in
       let input_fn port =
@@ -1030,78 +1026,7 @@ let ix_run_span ~schedule ~start ~stop ~inputs (ix : indexed) state trace =
       go (tick + 1) (Trace.record_ordered trace row)
     end
   in
-  go start trace
-
-let run_indexed ?(schedule = Clock.no_events) ~ticks ~inputs (ix : indexed) =
-  let trace = Trace.make ~flows:(ix.ix_in_ports @ ix.ix_out_ports) in
-  let state = indexed_init ix in
-  ix_run_span ~schedule ~start:0 ~stop:ticks ~inputs ix state trace
-
-(* ------------------------------------------------------------------ *)
-(* Snapshots of indexed runs                                          *)
-(* ------------------------------------------------------------------ *)
-
-(* A deep copy of an [ix_state].  [comp_state] values are immutable
-   (persistent interpreter states), so copying the one mutable [xst]
-   cell suffices for atomic nodes; network nodes copy their message
-   arrays (messages themselves are immutable values).  Cost is
-   O(slots + registers + bounds) per net — no traversal of the model. *)
-let rec ix_copy_state (state : ix_state) : ix_state =
-  match state with
-  | Xst_atomic { xst } -> Xst_atomic { xst }
-  | Xst_net ns ->
-    Xst_net
-      { x_slots = Array.copy ns.x_slots;
-        x_buffers = Array.copy ns.x_buffers;
-        x_bout = Array.copy ns.x_bout;
-        x_subs = Array.map ix_copy_state ns.x_subs }
-
-module Snapshot = struct
-  type t = {
-    sn_ix : indexed;
-    sn_tick : int;
-    sn_state : ix_state; (* private copy, never stepped *)
-    sn_trace : Trace.t;  (* persistent: rows [0, sn_tick) *)
-  }
-
-  let tick s = s.sn_tick
-  let trace s = s.sn_trace
-end
-
-let snapshot_run ?(schedule = Clock.no_events) ~at ~inputs (ix : indexed) =
-  let trace = Trace.make ~flows:(ix.ix_in_ports @ ix.ix_out_ports) in
-  let state = indexed_init ix in
-  let rec go tick trace at acc =
-    match at with
-    | [] -> List.rev acc
-    | t :: rest when t = tick ->
-      if Probe.active () then Probe.hit snapshot_capture;
-      let snap =
-        { Snapshot.sn_ix = ix;
-          sn_tick = tick;
-          sn_state = ix_copy_state state;
-          sn_trace = trace }
-      in
-      go tick trace rest (snap :: acc)
-    | t :: _ ->
-      if t < tick then
-        sim_error "snapshot_run: capture ticks must be sorted ascending"
-      else
-        let trace =
-          ix_run_span ~schedule ~start:tick ~stop:t ~inputs ix state trace
-        in
-        go t trace at acc
-  in
-  go 0 trace at []
-
-let resume_indexed ?(schedule = Clock.no_events) ~ticks ~inputs
-    (snap : Snapshot.t) =
-  if snap.Snapshot.sn_tick > ticks then
-    sim_error "resume_indexed: snapshot is past the requested horizon";
-  if Probe.active () then Probe.hit snapshot_restore;
-  let state = ix_copy_state snap.Snapshot.sn_state in
-  ix_run_span ~schedule ~start:snap.Snapshot.sn_tick ~stop:ticks ~inputs
-    snap.Snapshot.sn_ix state snap.Snapshot.sn_trace
+  go 0 (Trace.make ~flows:(in_names @ ix.ix_out_ports))
 
 (* ------------------------------------------------------------------ *)
 (* Batched simulation                                                 *)
@@ -2395,7 +2320,6 @@ let rec stage_net ~stride ~resets ~(boundary : string -> brow) (n : ix_net) :
 type batch = {
   bb_ix : indexed;
   bb_instances : int;
-  bb_in_names : string list; (* declared input ports, trace order *)
   bb_nflows : int;
   bb_in_rows : int array; (* per declared input port, its row in bb_ins *)
   bb_in_tbl : (string, int) Hashtbl.t; (* + undeclared boundary reads *)
@@ -2408,6 +2332,11 @@ type batch = {
   mutable bb_count : int;
   mutable bb_ticks : int;
   mutable bb_trace : bplanes;
+  bb_empty : Trace.t; (* no ticks yet, over the trace flows *)
+  (* per column: the persistent trace of ticks [0, bb_fork.(i)) — the
+     restored snapshot's prefix — while the planes hold the rest *)
+  bb_prefix : Trace.t array;
+  bb_fork : int array;
 }
 
 (* Input names an atomic root behavior may read through its environment
@@ -2489,9 +2418,9 @@ let batch ~instances (ix : indexed) : batch =
   let rs = resets.rg_resets in
   let reset () = List.iter (fun f -> f ()) rs in
   reset ();
+  let empty = Trace.make ~flows:(ix.ix_in_ports @ ix.ix_out_ports) in
   { bb_ix = ix;
     bb_instances = instances;
-    bb_in_names = ix.ix_in_ports;
     bb_nflows = List.length ix.ix_in_ports + List.length ix.ix_out_ports;
     bb_in_rows =
       Array.of_list (List.map (fun p -> Hashtbl.find tbl p) ix.ix_in_ports);
@@ -2504,7 +2433,10 @@ let batch ~instances (ix : indexed) : batch =
     bb_sites = resets.rg_sites;
     bb_count = 0;
     bb_ticks = 0;
-    bb_trace = bplanes_make ~stride 0 }
+    bb_trace = bplanes_make ~stride 0;
+    bb_empty = empty;
+    bb_prefix = Array.make instances empty;
+    bb_fork = Array.make instances 0 }
 
 let batch_instances b = b.bb_instances
 let batch_count b = b.bb_count
@@ -2525,7 +2457,9 @@ let run_batch ?schedules ?map ?(shards = 1) ?count ?(start = 0) ?stop
   if reset then begin
     b.bb_reset ();
     b.bb_trace <- bplanes_make ~stride (nflows * ticks);
-    b.bb_ticks <- ticks
+    b.bb_ticks <- ticks;
+    Array.fill b.bb_prefix 0 stride b.bb_empty;
+    Array.fill b.bb_fork 0 stride 0
   end
   else if b.bb_ticks <> ticks then
     sim_error
@@ -2602,15 +2536,14 @@ let run_batch ?schedules ?map ?(shards = 1) ?count ?(start = 0) ?stop
   | None -> List.iter (fun f -> f ()) thunks
   | Some m -> m thunks
 
-let batch_trace (b : batch) ~instance =
-  if instance < 0 || instance >= b.bb_count then
-    sim_error "batch_trace: instance %d out of range (last run had %d)"
-      instance b.bb_count;
-  let flows = b.bb_in_names @ b.bb_ix.ix_out_ports in
+(* Column [instance]'s trace up to [stop]: its persistent prefix, then
+   the plane rows [fork, stop). *)
+let column_trace (b : batch) ~instance ~stop =
+  let flows = Trace.flows b.bb_empty in
   let stride = b.bb_instances in
   let nflows = b.bb_nflows in
-  let trace = ref (Trace.make ~flows) in
-  for tick = 0 to b.bb_ticks - 1 do
+  let trace = ref b.bb_prefix.(instance) in
+  for tick = b.bb_fork.(instance) to stop - 1 do
     let base = tick * nflows in
     let row =
       List.mapi
@@ -2622,6 +2555,12 @@ let batch_trace (b : batch) ~instance =
   done;
   !trace
 
+let batch_trace (b : batch) ~instance =
+  if instance < 0 || instance >= b.bb_count then
+    sim_error "batch_trace: instance %d out of range (last run had %d)"
+      instance b.bb_count;
+  column_trace b ~instance ~stop:b.bb_ticks
+
 (* ---------------- Batched snapshots ------------------------------- *)
 
 type batch_snapshot = {
@@ -2629,30 +2568,29 @@ type batch_snapshot = {
   bn_tick : int;
   bn_ticks : int; (* horizon of the span being snapshotted *)
   bn_writers : (int -> unit) list;
-  bn_trace : bplanes; (* captured trace prefix, stride 1 *)
+  bn_prefix : Trace.t; (* persistent: rows [0, bn_tick) *)
 }
 
 let batch_snapshot (b : batch) ~instance ~tick =
   if instance < 0 || instance >= b.bb_instances then
     sim_error "batch_snapshot: instance %d out of range (batch holds %d)"
       instance b.bb_instances;
-  if tick < 0 || tick > b.bb_ticks then
-    sim_error "batch_snapshot: tick %d out of range (horizon %d)" tick
-      b.bb_ticks;
+  if tick < b.bb_fork.(instance) || tick > b.bb_ticks then
+    sim_error "batch_snapshot: tick %d out of range [%d, %d]" tick
+      b.bb_fork.(instance) b.bb_ticks;
   if Probe.active () then Probe.hit snapshot_capture;
-  let stride = b.bb_instances in
-  let rows = tick * b.bb_nflows in
-  let tr = bplanes_make ~stride:1 rows in
-  for r = 0 to rows - 1 do
-    elt_copy b.bb_trace ((r * stride) + instance) tr r
-  done;
+  let prefix = column_trace b ~instance ~stop:tick in
+  (* later captures on this column extend this prefix instead of
+     re-materializing it *)
+  b.bb_prefix.(instance) <- prefix;
+  b.bb_fork.(instance) <- tick;
   { bn_batch = b;
     bn_tick = tick;
     bn_ticks = b.bb_ticks;
     (* each site copies its column's cells out now, so the snapshot
        stays valid when the source column is stepped on or reused *)
     bn_writers = List.map (fun site -> site instance) b.bb_sites;
-    bn_trace = tr }
+    bn_prefix = prefix }
 
 let batch_snapshot_tick s = s.bn_tick
 
@@ -2667,8 +2605,5 @@ let batch_restore (b : batch) (snap : batch_snapshot) ~instance =
       b.bb_ticks snap.bn_ticks;
   if Probe.active () then Probe.hit snapshot_restore;
   List.iter (fun w -> w instance) snap.bn_writers;
-  let stride = b.bb_instances in
-  let rows = snap.bn_tick * b.bb_nflows in
-  for r = 0 to rows - 1 do
-    elt_copy snap.bn_trace r b.bb_trace ((r * stride) + instance)
-  done
+  b.bb_prefix.(instance) <- snap.bn_prefix;
+  b.bb_fork.(instance) <- snap.bn_tick

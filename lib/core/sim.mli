@@ -118,67 +118,6 @@ val run_indexed :
 (** Like {!run}, over an indexed component (one fresh {!indexed_init}
     per call). *)
 
-(** {1 Snapshots}
-
-    First-class checkpoints of an indexed run, the substrate for
-    prefix-sharing campaign execution ([Robust.Prefix]): when many
-    scenarios agree on a stimulus prefix, the prefix is simulated once,
-    snapshotted at each divergence tick, and only the suffixes replay.
-
-    {b Determinism contract.}  Snapshot capture copies the complete
-    mutable run state — every value slot, delay register, boundary
-    output and sub-component state (STD states and variables, MTD mode
-    history, [Pre]/[Current] registers), recursively — in
-    O(slots + registers) time, without touching the model.  Resuming a
-    snapshot taken at tick [t] and running to [ticks] therefore replays
-    {e exactly} the loop iterations [t..ticks-1] of a straight
-    {!run_indexed}: if the resumed [inputs] and [schedule] agree with
-    the capture run on every tick [>= t], the resulting trace is
-    byte-identical to the straight run's — independent of how many
-    snapshots were taken, of resume order, and of which domain resumes
-    (a resume never mutates the snapshot; each call steps a private
-    copy).  Asserted at [cmp] level by the test-suite across faulted,
-    guarded and replicated nets, including mid-silence-window capture
-    points.
-
-    Probe counters [sim.snapshot.capture] / [sim.snapshot.restore]
-    count captures and resumes; like all probes they are no-ops without
-    an installed sink, so default reports are unaffected. *)
-
-module Snapshot : sig
-  type t
-  (** An immutable checkpoint: the capture tick, a private copy of the
-      run state, and the (persistent) trace prefix up to the capture
-      tick. *)
-
-  val tick : t -> int
-  (** The tick at which the snapshot was captured. *)
-
-  val trace : t -> Trace.t
-  (** The trace rows recorded before the capture tick.  Persistent —
-      shared structurally by every resumed run, so N suffixes of one
-      prefix cost no prefix re-recording. *)
-end
-
-val snapshot_run :
-  ?schedule:Clock.schedule -> at:int list -> inputs:input_fn -> indexed ->
-  Snapshot.t list
-(** Run one simulation from tick 0, capturing a snapshot at each tick
-    in [at] (sorted ascending, duplicates allowed; a capture at tick
-    [t] happens before tick [t]'s step, so [at = [0]] checkpoints the
-    initial state).  The run stops at the last capture tick.  Returns
-    the snapshots in capture order.
-    @raise Sim_error when [at] is not sorted ascending. *)
-
-val resume_indexed :
-  ?schedule:Clock.schedule -> ticks:int -> inputs:input_fn -> Snapshot.t ->
-  Trace.t
-(** Continue a snapshot to [ticks] total ticks (ticks [t..ticks-1] are
-    simulated, where [t] is the capture tick).  See the determinism
-    contract above: byte-identical to the straight run whenever the
-    suffix stimulus and schedule agree with the capture run's prefix.
-    @raise Sim_error when the snapshot lies past [ticks]. *)
-
 (** {1 Batched simulation}
 
     A third lowering stage on top of {!index}: one compiled net stepped
@@ -276,20 +215,40 @@ val batch_trace : batch -> instance:int -> Trace.t
     outside the last run. *)
 
 type batch_snapshot
-(** A checkpoint of one instance column of a batch: the capture tick,
-    every snapshot site's cells for that column (copied out, so the
-    column may be stepped on or reused) and the column's trace rows
-    before the capture tick.  The batched counterpart of
-    {!Snapshot.t}, with the same determinism contract:
+(** A checkpoint of one instance column of a batch, the substrate of
+    prefix-sharing campaign execution ([Robust.Exec]): the capture
+    tick, every snapshot site's cells for that column (copied out, so
+    the column may be stepped on or reused) and the column's trace
+    before the capture tick as a persistent {!Trace.t}.
+
+    {b Determinism contract.}  Capture copies the complete mutable run
+    state — every value slot, delay register, boundary output and
+    sub-component state (STD states and variables, MTD mode history,
+    [Pre]/[Current] registers) — without touching the model.
     [batch_restore] into any column followed by a [~reset:false] span
-    [\[t, ticks)] replays exactly the loop iterations a straight run
-    would execute for that column. *)
+    [\[t, ticks)] therefore replays exactly the loop iterations a
+    straight run would execute for that column: if the resumed
+    stimulus and schedule agree with the capture run on every tick
+    [>= t], the column's {!batch_trace} is byte-identical to the
+    straight {!run_indexed} — independent of how many snapshots were
+    taken, of restore order and of which column resumes (a restore
+    never mutates the snapshot).  The restored column shares the
+    snapshot's trace prefix structurally; {!batch_trace} materializes
+    only ticks [\[t, ticks)].
+
+    Probe counters [sim.snapshot.capture] / [sim.snapshot.restore]
+    count captures and restores; like all probes they are no-ops
+    without an installed sink. *)
 
 val batch_snapshot : batch -> instance:int -> tick:int -> batch_snapshot
-(** Capture instance [instance]'s state, asserting it has been stepped
+(** Capture instance [instance]'s state, which must have been stepped
     exactly to [tick] (rows after [tick] are not captured).  O(sites)
-    per call; hits [sim.snapshot.capture].
-    @raise Sim_error when [instance] or [tick] is out of range. *)
+    per call plus the trace rows since the column's last capture or
+    restore, which later captures and {!batch_trace} reuse; hits
+    [sim.snapshot.capture].
+    @raise Sim_error when [instance] is out of range or [tick] lies
+    before the column's last capture or restore tick or past the
+    horizon. *)
 
 val batch_snapshot_tick : batch_snapshot -> int
 (** The capture tick. *)

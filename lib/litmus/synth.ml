@@ -67,13 +67,12 @@ let proper_subset_canons atoms =
         (subsets 0 k))
     (List.init (max 0 (n - 1)) (fun i -> i + 1))
 
-let run ?cache ?(config = default_config) ?(domains = 1) ?(instances = 1)
-    ?(prefix_share = true) ~twin ~alphabet () =
+let run ?cache ?(config = default_config) ?(domains = 1) ?prefix_share
+    ~twin ~alphabet () =
   if config.bound < 1 then invalid_arg "Synth.run: bound must be >= 1";
   if config.max_scenarios < 1 then
     invalid_arg "Synth.run: max_scenarios must be >= 1";
   if domains < 1 then invalid_arg "Synth.run: domains must be >= 1";
-  if instances < 1 then invalid_arg "Synth.run: instances must be >= 1";
   Builder.prepare twin.Eval.unguarded;
   Builder.prepare twin.Eval.guarded;
   let nominal = Eval.nominal twin in
@@ -104,18 +103,10 @@ let run ?cache ?(config = default_config) ?(domains = 1) ?(instances = 1)
     | Some c ->
       c.cache_store (key_of c canon) ("canon " ^ canon ^ "\n" ^ Eval.encode cls)
   in
-  let eval_one scenario =
-    match lookup scenario with
-    | scenario, _, Some cls -> (scenario, cls, true)
-    | scenario, canon, None ->
-      let cls = Eval.evaluate twin ~nominal scenario in
-      store canon cls;
-      (scenario, cls, false)
-  in
-  let eval_batched () =
-    (* probe the cache serially, batch the misses' faulty traces — one
-       instance column per (scenario, twin side) — and splice the fresh
-       classifications back in enumeration order *)
+  let evaluated =
+    (* probe the cache serially, trace the misses on each twin through
+       the campaign executor and splice the fresh classifications back
+       in enumeration order *)
     let probed = List.map lookup scenarios in
     let missing =
       List.filter_map
@@ -127,11 +118,11 @@ let run ?cache ?(config = default_config) ?(domains = 1) ?(instances = 1)
       else
         let opss = Array.of_list (List.map (fun (s, _) -> Space.ops s) missing) in
         let faulty_u =
-          Builder.trace_cases ~domains ~instances ~share:prefix_share
+          Builder.trace_cases ~domains ?share:prefix_share
             twin.Eval.unguarded ~seed:0 ~ticks:horizon opss
         in
         let faulty_g =
-          Builder.trace_cases ~domains ~instances ~share:prefix_share
+          Builder.trace_cases ~domains ?share:prefix_share
             twin.Eval.guarded ~seed:0 ~ticks:(Builder.ticks twin.Eval.guarded)
             opss
         in
@@ -155,11 +146,6 @@ let run ?cache ?(config = default_config) ?(domains = 1) ?(instances = 1)
           (s, cls, false)
         | None, [] -> assert false)
       probed
-  in
-  let evaluated =
-    if instances > 1 || prefix_share then eval_batched ()
-    else if domains > 1 then Parallel.map ~domains eval_one scenarios
-    else List.map eval_one scenarios
   in
   let cache_hits =
     List.length (List.filter (fun (_, _, hit) -> hit) evaluated)

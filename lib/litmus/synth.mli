@@ -3,8 +3,8 @@
 
     The pipeline: {!Space.enumerate} the scenario space (capped at
     [max_scenarios], with the truncation reported), evaluate every
-    scenario on both twins — sharded over
-    {!Automode_robust.Parallel.map} domains and merged back in
+    scenario on both twins — through the campaign executor
+    ({!Automode_robust.Exec}), sharded over domains and merged back in
     enumeration order, optionally memoized through caller-supplied
     cache hooks keyed by canonical form — deduplicate by divergence
     hash (first occurrence in enumeration order wins, TransForm's
@@ -73,24 +73,17 @@ type result = {
 }
 
 val run :
-  ?cache:cache -> ?config:config -> ?domains:int -> ?instances:int ->
-  ?prefix_share:bool -> twin:Eval.twin -> alphabet:Alphabet.t -> unit ->
-  result
-(** Synthesize.  With [?instances] > 1 the cache-missing scenarios'
-    faulty traces run through the struct-of-arrays batched engine
-    ({!Automode_proptest.Builder.trace_cases}, one instance column per
-    scenario and twin side) and are classified with
-    {!Eval.evaluate_traces} in enumeration order — the result, the
-    report and the cache contents are byte-identical to the looped
-    evaluation.  [?prefix_share] (default [true]) additionally routes
-    the evaluation through the prefix-sharing executor
-    ({!Automode_robust.Prefix.traces}): the fault-free prefix common to
-    the enumerated scenarios simulates once per distinct first-effect
-    tick and only suffixes replay — exact when scenarios activate late
-    in the horizon, and byte-identical to the looped evaluation by
-    construction in every mode.  Pass [~prefix_share:false] to force
-    the straight per-scenario loop.  @raise Invalid_argument on a
-    non-positive bound, cap, domain or instance count. *)
+  ?cache:cache -> ?config:config -> ?domains:int -> ?prefix_share:bool ->
+  twin:Eval.twin -> alphabet:Alphabet.t -> unit -> result
+(** Synthesize.  The cache-missing scenarios' faulty traces run through
+    {!Automode_proptest.Builder.trace_cases} on each twin — the
+    campaign executor ({!Automode_robust.Exec.traces}) picks the plan
+    and shards it over [?domains] — and are classified with
+    {!Eval.evaluate_traces} in enumeration order.
+    [~prefix_share:false] forces the looped reference (every scenario
+    solo); the result, the report and the cache contents are
+    byte-identical either way.  @raise Invalid_argument on a
+    non-positive bound, cap or domain count. *)
 
 val gate : result -> bool
 (** The CI gate: at least one minimal distinguishing scenario found

@@ -21,10 +21,10 @@ type t = {
   mons : Monitor.t list;
   observers : (Trace.t -> unit) list;
   events : (string * string) list;  (* (event clock, flow), newest first *)
-  base_schedule : Fault.t list -> Clock.schedule;
+  base_schedule : Clock.schedule;
   engine : engine;
-  ixc : Sim.indexed Lazy.t;   (* shared by the Indexed runner and the
-                                 batched ([?instances]) path *)
+  ixc : Sim.indexed Lazy.t;   (* shared by the Indexed runner and
+                                 {!Exec.traces} *)
   runner : runner Lazy.t;
   iters : int;
 }
@@ -59,7 +59,7 @@ let spec ~name ~component ~ticks ?(inputs = Sim.no_inputs) () =
     mons = [];
     observers = [];
     events = [];
-    base_schedule = (fun _ -> Clock.no_events);
+    base_schedule = Clock.no_events;
     engine = Indexed;
     ixc;
     runner = make_runner Indexed component ixc;
@@ -112,13 +112,7 @@ let faults_of t ~seed ~ops =
    on top of the spec's base schedule — and keeps tracking the fault set
    as shrinking removes operations. *)
 let schedule_of t faults =
-  List.fold_left
-    (fun sched (event, flow) ->
-      let on_flow =
-        List.filter (fun f -> String.equal (Fault.flow f) flow) faults
-      in
-      Fault.schedule_of_faults ~base:sched on_flow ~event)
-    (t.base_schedule faults) t.events
+  Fault.event_schedule ~base:t.base_schedule ~events:t.events faults
 
 let trace_of t ~faults ~ticks =
   let inputs = Fault.apply faults t.inputs in
@@ -134,23 +128,29 @@ let run_ops t ~seed ~ops ~ticks =
 let trace_ops t ~seed ~ops ~ticks =
   trace_of t ~faults:(faults_of t ~seed ~ops) ~ticks
 
-(* Batched traces over many op lists of one spec: the prefix-sharing
-   executor when [share] is set or [instances > 1] and the spec runs
-   the Indexed engine, a plain [trace_ops] loop otherwise.  Trace i
-   belongs to opss.(i); all paths are byte-identical. *)
-let trace_cases ?(domains = 1) ?(instances = 1) ?(share = false) t ~seed
-    ~ticks opss =
-  if (instances > 1 || share) && t.engine = Indexed then
-    let cases =
-      Array.map
-        (fun ops ->
-          let faults = faults_of t ~seed ~ops in
-          (faults, Fault.apply faults t.inputs, schedule_of t faults))
-        opss
-    in
-    Prefix.traces ~domains ~instances ~share ~ix:(Lazy.force t.ixc) ~ticks
-      ~base_inputs:t.inputs ~base_schedule:(schedule_of t []) cases
-  else Array.map (fun ops -> trace_ops t ~seed ~ops ~ticks) opss
+(* Traces of many fault lists of one spec, trace i belonging to
+   faultss.(i): the Indexed engine runs them through the campaign
+   executor, the other engines (kept as comparison oracles) loop. *)
+let traces_of ?(domains = 1) ?share t ~ticks faultss =
+  match t.engine with
+  | Indexed ->
+    Exec.traces ~domains ?share ~ix:(Lazy.force t.ixc) ~ticks
+      ~base_inputs:t.inputs ~base_schedule:t.base_schedule
+      (Array.map
+         (fun faults ->
+           (faults, Fault.apply faults t.inputs, schedule_of t faults))
+         faultss)
+  | Interpreted | Compiled ->
+    (* force the compiled form before fanning out *)
+    prepare t;
+    Array.of_list
+      (Parallel.map ~domains
+         (fun faults -> trace_of t ~faults ~ticks)
+         (Array.to_list faultss))
+
+let trace_cases ?domains ?share t ~seed ~ticks opss =
+  traces_of ?domains ?share t ~ticks
+    (Array.map (fun ops -> faults_of t ~seed ~ops) opss)
 
 let eval_monitors t tr = verdicts_of t tr
 
@@ -315,12 +315,11 @@ let case_failures ?(shrink = true) t case =
             shrunk })
     case.verdicts
 
-(* Batched case execution: expand every (seed, iteration) case's op
-   sequence up front, step all stimuli through the batched engine, then
-   evaluate observers and monitors in case order.  Only meaningful for
-   the Indexed engine — the other engines exist to be compared against
-   and stay looped. *)
-let run_cases_batched ~domains ~instances ~share t ~seeds =
+(* Expand every (seed, iteration) case's op sequence up front, simulate
+   them all through [traces_of], then run observers and monitors in
+   case order. *)
+let run ?(shrink = true) ?domains ?prefix_share t ~seeds =
+  prepare t;
   let specs =
     Array.of_list
       (List.concat_map
@@ -330,39 +329,18 @@ let run_cases_batched ~domains ~instances ~share t ~seeds =
   let opss =
     Array.map (fun (seed, iteration) -> expand t ~seed ~iteration) specs
   in
-  let faultss =
-    Array.mapi (fun i ops -> faults_of t ~seed:(fst specs.(i)) ~ops) opss
-  in
-  let cases =
-    Array.map
-      (fun faults ->
-        (faults, Fault.apply faults t.inputs, schedule_of t faults))
-      faultss
-  in
   let traces =
-    Prefix.traces ~domains ~instances ~share ~ix:(Lazy.force t.ixc)
-      ~ticks:t.spec_ticks ~base_inputs:t.inputs
-      ~base_schedule:(schedule_of t []) cases
+    traces_of ?domains ?share:prefix_share t ~ticks:t.spec_ticks
+      (Array.mapi (fun i ops -> faults_of t ~seed:(fst specs.(i)) ~ops) opss)
   in
-  Array.to_list
-    (Array.mapi
-       (fun i tr ->
-         List.iter (fun obs -> obs tr) t.observers;
-         let seed, iteration = specs.(i) in
-         { seed; iteration; ops = opss.(i); verdicts = verdicts_of t tr })
-       traces)
-
-let run ?(shrink = true) ?(domains = 1) ?(instances = 1)
-    ?(prefix_share = true) t ~seeds =
-  prepare t;
   let cases =
-    if (instances > 1 || prefix_share) && t.engine = Indexed then
-      run_cases_batched ~domains ~instances ~share:prefix_share t ~seeds
-    else
-      let cases_of_seed seed =
-        List.init t.iters (fun i -> run_case t ~seed ~iteration:(i + 1))
-      in
-      List.concat (Parallel.map ~domains cases_of_seed seeds)
+    Array.to_list
+      (Array.mapi
+         (fun i tr ->
+           List.iter (fun obs -> obs tr) t.observers;
+           let seed, iteration = specs.(i) in
+           { seed; iteration; ops = opss.(i); verdicts = verdicts_of t tr })
+         traces)
   in
   let failures = List.concat_map (case_failures ~shrink t) cases in
   { spec_name = t.spec_name;

@@ -63,8 +63,9 @@ val with_event : event:string -> flow:string -> t -> t
     addition to the spec's base schedule), and keeps tracking the fault
     set as shrinking removes operations. *)
 
-val with_schedule : (Fault.t list -> Clock.schedule) -> t -> t
-(** Replace the base schedule derivation (default: no event fires). *)
+val with_schedule : Clock.schedule -> t -> t
+(** Replace the fault-independent base schedule (default: no event
+    fires); {!with_event} wirings fire on top of it. *)
 
 val with_engine : engine -> t -> t
 (** Choose the simulation engine (default {!Indexed}); all three
@@ -124,18 +125,16 @@ val trace_ops : t -> seed:int -> ops:Op.t list -> ticks:int -> Trace.t
     or diff traces themselves (e.g. litmus-scenario deduplication). *)
 
 val trace_cases :
-  ?domains:int -> ?instances:int -> ?share:bool -> t -> seed:int ->
-  ticks:int -> Op.t list array -> Trace.t array
+  ?domains:int -> ?share:bool -> t -> seed:int -> ticks:int ->
+  Op.t list array -> Trace.t array
 (** {!trace_ops} over many operation lists at once: trace [i] belongs
-    to element [i] of the input.  With [?instances] > 1 or
-    [~share:true] (default [false]) and the {!Indexed} engine the
-    lists run through the prefix-sharing executor
-    ({!Automode_robust.Prefix.traces}, sharded over [?domains]):
-    [share] simulates the fault-free prefix common to the compiled op
-    sequences once and replays only suffixes; [instances] forks
-    snapshots across the batched engine's instance axis.  Otherwise
-    they loop through {!trace_ops}.  All paths yield byte-identical
-    traces — this is the litmus synthesis fan-out primitive. *)
+    to element [i] of the input.  With the {!Indexed} engine the lists
+    run through {!Automode_robust.Exec.traces}, which picks the plan
+    (solo, batched, prefix-shared) itself and shards it over
+    [?domains]; [~share:false] (default [true]) is its looped
+    reference.  The other engines loop through {!trace_ops}.  All paths
+    yield byte-identical traces — this is the litmus synthesis fan-out
+    primitive. *)
 
 val eval_monitors : t -> Trace.t -> (string * Monitor.verdict) list
 (** Judge an already-recorded trace against every attached monitor, in
@@ -193,18 +192,14 @@ val case_failures : ?shrink:bool -> t -> case -> failure list
     unless [~shrink:false]. *)
 
 val run :
-  ?shrink:bool -> ?domains:int -> ?instances:int -> ?prefix_share:bool ->
+  ?shrink:bool -> ?domains:int -> ?prefix_share:bool ->
   t -> seeds:int list -> campaign
-(** The full sweep: [iterations] cases per seed, fanned out over
-    [?domains] (default 1) per-seed via
-    {!Automode_robust.Parallel.map} and merged back in seed order;
-    shrinking always runs serially after the sweep.  [?instances]
-    (default 1) batches the cases through the struct-of-arrays engine
-    and [?prefix_share] (default [true]) shares the fault-free prefix
-    common to the generated op sequences via
-    {!Automode_robust.Prefix.traces} when the spec runs the [Indexed]
-    engine — observers then fire in case order, and the campaign is
-    byte-identical to the looped run in every mode. *)
+(** The full sweep: [iterations] cases per seed, simulated through
+    {!trace_cases}'s executor ([?domains], default 1, and
+    [?prefix_share], default [true], as its [?domains] / [?share]),
+    then observed and judged in seed-major case order; shrinking
+    always runs serially after the sweep.  The campaign is
+    byte-identical for every argument combination. *)
 
 val gate : campaign -> bool
 (** [true] iff the campaign has no failures — the CI exit-code gate. *)

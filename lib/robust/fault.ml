@@ -250,3 +250,10 @@ let schedule_of_faults ?(base = Clock.no_events) faults ~event =
     base name tick
     || (String.equal name event
        && List.exists (fun f -> active f ~tick) faults)
+
+let event_schedule ?(base = Clock.no_events) ~events faults =
+  List.fold_left
+    (fun sched (event, flow) ->
+      let on_flow = List.filter (fun f -> String.equal f.flow flow) faults in
+      schedule_of_faults ~base:sched on_flow ~event)
+    base events

@@ -81,7 +81,7 @@ val first_effect_tick : t list -> horizon:int -> int
     while inactive, so strictly below this tick the {!apply}-transformed
     stimulus and any {!schedule_of_faults}-derived schedule are
     identical to the fault-free ones — the divergence analysis that
-    {!Prefix} builds its fork tree from. *)
+    {!Exec} builds its fork tree from. *)
 
 val apply : t list -> Sim.input_fn -> Sim.input_fn
 (** Compose the faults over a stimulus, left to right.  The result
@@ -94,6 +94,16 @@ val schedule_of_faults :
     of the listed faults is active (in addition to [base], default
     {!Clock.no_events}) — needed when a spike storm injects messages on
     an event-clocked port. *)
+
+val event_schedule :
+  ?base:Clock.schedule -> events:(string * string) list -> t list ->
+  Clock.schedule
+(** The schedule of a declared event wiring: [base] (default
+    {!Clock.no_events}) plus, for every [(event, flow)] pair, the event
+    clock [event] firing exactly when a listed fault on [flow] is
+    active ({!schedule_of_faults}).  Below a catalog's
+    {!first_effect_tick} it equals [base] — what makes prefix-sharing
+    execution ({!Exec}) sound for every scenario by construction. *)
 
 val describe : t -> string
 (** Stable human-readable one-liner, e.g.

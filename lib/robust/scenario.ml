@@ -7,12 +7,13 @@ type t = {
   ticks : int;
   inputs : Sim.input_fn;
   faults_of_seed : int -> Fault.t list;
-  schedule : Fault.t list -> Clock.schedule;
+  base_schedule : Clock.schedule;
+  events : (string * string) list;
   monitors : Monitor.t list;
 }
 
-let make ?(schedule = fun _ -> Clock.no_events) ?(index = Sim.index) ~name
-    ~component ~ticks ~inputs ~faults ~monitors () =
+let make ?(schedule = Clock.no_events) ?(events = []) ?(index = Sim.index)
+    ~name ~component ~ticks ~inputs ~faults ~monitors () =
   if ticks < 0 then invalid_arg "Scenario.make: negative horizon";
   { scn_name = name;
     component;
@@ -20,7 +21,8 @@ let make ?(schedule = fun _ -> Clock.no_events) ?(index = Sim.index) ~name
     ticks;
     inputs;
     faults_of_seed = faults;
-    schedule;
+    base_schedule = schedule;
+    events;
     monitors }
 
 let name s = s.scn_name
@@ -30,9 +32,12 @@ let monitors s = List.map Monitor.name s.monitors
 let faults s ~seed = s.faults_of_seed seed
 let prepare s = ignore (Lazy.force s.indexed)
 
+let schedule_of s faults =
+  Fault.event_schedule ~base:s.base_schedule ~events:s.events faults
+
 let trace s ~faults ~ticks =
   let inputs = Fault.apply faults s.inputs in
-  Sim.run_indexed ~schedule:(s.schedule faults) ~ticks ~inputs
+  Sim.run_indexed ~schedule:(schedule_of s faults) ~ticks ~inputs
     (Lazy.force s.indexed)
 
 let verdicts_of_trace s tr =
@@ -79,38 +84,32 @@ let seed_failures ?(shrink = true) s r =
         Some { fail_seed = r.seed; fail_monitor = mon; verdict = v; shrunk })
     r.verdicts
 
-let run_seeds ?(domains = 1) ?(instances = 1) ?(prefix_share = true) s ~seeds
-    =
+let run_seeds ?domains ?prefix_share s ~seeds =
   (* Force the index compilation before fanning out, so domains share
      the immutable compiled form instead of racing on the lazy. *)
   prepare s;
-  if instances <= 1 && not prefix_share then
-    Parallel.map ~domains (fun seed -> run_seed s ~seed) seeds
-  else begin
-    let seeds = Array.of_list seeds in
-    let injected = Array.map s.faults_of_seed seeds in
-    let cases =
-      Array.map
-        (fun faults ->
-          (faults, Fault.apply faults s.inputs, s.schedule faults))
-        injected
-    in
-    let traces =
-      Prefix.traces ~domains ~instances ~share:prefix_share
-        ~ix:(Lazy.force s.indexed) ~ticks:s.ticks ~base_inputs:s.inputs
-        ~base_schedule:(s.schedule []) cases
-    in
-    Array.to_list
-      (Array.mapi
-         (fun i tr ->
-           { seed = seeds.(i);
-             injected = injected.(i);
-             verdicts = verdicts_of_trace s tr })
-         traces)
-  end
+  let seeds = Array.of_list seeds in
+  let injected = Array.map s.faults_of_seed seeds in
+  let cases =
+    Array.map
+      (fun faults ->
+        (faults, Fault.apply faults s.inputs, schedule_of s faults))
+      injected
+  in
+  let traces =
+    Exec.traces ?domains ?share:prefix_share ~ix:(Lazy.force s.indexed)
+      ~ticks:s.ticks ~base_inputs:s.inputs ~base_schedule:s.base_schedule
+      cases
+  in
+  Array.to_list
+    (Array.mapi
+       (fun i tr ->
+         { seed = seeds.(i);
+           injected = injected.(i);
+           verdicts = verdicts_of_trace s tr })
+       traces)
 
-let sweep ?(shrink = true) ?(domains = 1) ?(instances = 1)
-    ?(prefix_share = true) s ~seeds =
-  let results = run_seeds ~domains ~instances ~prefix_share s ~seeds in
+let sweep ?(shrink = true) ?domains ?prefix_share s ~seeds =
+  let results = run_seeds ?domains ?prefix_share s ~seeds in
   let failures = List.concat_map (seed_failures ~shrink s) results in
   { scenario = s.scn_name; horizon = s.ticks; seeds; results; failures }

@@ -12,7 +12,8 @@ open Automode_core
 type t
 
 val make :
-  ?schedule:(Fault.t list -> Clock.schedule) ->
+  ?schedule:Clock.schedule ->
+  ?events:(string * string) list ->
   ?index:(Model.component -> Sim.indexed) ->
   name:string ->
   component:Model.component ->
@@ -21,14 +22,15 @@ val make :
   faults:(int -> Fault.t list) ->
   monitors:Monitor.t list ->
   unit -> t
-(** [?schedule] derives the clock schedule from the currently injected
-    faults (default: no event clocks fire) — use
-    {!Fault.schedule_of_faults} when spikes target an event-clocked
-    port, so the schedule tracks the fault set as shrinking removes
-    faults.  [?index] (default {!Sim.index}) compiles the component to
-    its indexed form — pass a hash-consing wrapper (e.g.
-    [Serve.Digest.shared_index]) to share one compiled net across all
-    scenarios over structurally equal models.
+(** [?schedule] is the fault-independent base clock schedule (default:
+    no event clocks fire).  [?events] declares [(event, flow)] pairs:
+    the event clock [event] additionally fires whenever an injected
+    fault on input [flow] is active ({!Fault.event_schedule}) — needed
+    when spikes target an event-clocked port, and tracking the fault
+    set as shrinking removes faults.  [?index] (default {!Sim.index})
+    compiles the component to its indexed form — pass a hash-consing
+    wrapper (e.g. [Serve.Digest.shared_index]) to share one compiled net
+    across all scenarios over structurally equal models.
     @raise Invalid_argument on a negative horizon. *)
 
 val name : t -> string
@@ -85,33 +87,22 @@ val seed_failures : ?shrink:bool -> t -> seed_result -> failure list
     per-seed slice of a campaign's [failures] list, in verdict order. *)
 
 val run_seeds :
-  ?domains:int -> ?instances:int -> ?prefix_share:bool -> t ->
-  seeds:int list -> seed_result list
-(** {!run_seed} over a seed list, results in seed order.  [?instances]
-    (default 1) routes the per-seed simulations through the batched
-    engine ({!Fleet.traces}): with [instances > 1] all seeds' stimuli
-    are expanded first and stepped in lockstep batches of that width.
-    [?domains] (default 1) fans out either path over a {!Parallel.map}
-    domain pool (per-seed for the looped path, instance-axis shards for
-    the batched one).  [?prefix_share] (default [true]) executes
-    through {!Prefix.traces}: the fault-free prefix shared by the
-    seeds' catalogs is simulated once and only suffixes replay.  The
-    scenario's [~schedule] function must then agree with
-    [schedule []] strictly below each catalog's first activation
-    (automatic for {!Fault.schedule_of_faults}-derived schedules; pass
-    [~prefix_share:false] otherwise).  Results are byte-identical for
-    every (domains, instances, prefix_share) combination. *)
+  ?domains:int -> ?prefix_share:bool -> t -> seeds:int list ->
+  seed_result list
+(** {!run_seed} over a seed list, results in seed order, simulated
+    through {!Exec.traces}: the executor picks the plan (solo, batched,
+    prefix-shared) from the seeds' fault catalogs and shards it over
+    [?domains] (default 1).  [~prefix_share:false] is the looped
+    reference — every seed solo through {!Sim.run_indexed}.  Results
+    are byte-identical either way. *)
 
 val sweep :
-  ?shrink:bool -> ?domains:int -> ?instances:int -> ?prefix_share:bool ->
+  ?shrink:bool -> ?domains:int -> ?prefix_share:bool ->
   t -> seeds:int list -> campaign
-(** Run the scenario once per seed and collect verdicts; each failing
-    (seed, monitor) pair is shrunk to a minimal fault subset and
-    shortest failing prefix (disable with [~shrink:false] for cheap
-    smoke runs).  [?domains] (default 1) fans the per-seed simulations
-    out over an OCaml 5 domain pool via {!Parallel.map}; [?instances]
-    (default 1) batches them through the struct-of-arrays engine (see
-    {!run_seeds}).  Verdicts are merged back in seed order, so the
-    resulting campaign — and any report rendered from it — is identical
-    to a serial sweep.  Shrinking always runs serially after the
-    sweep. *)
+(** Run the scenario once per seed ({!run_seeds}) and collect
+    verdicts; each failing (seed, monitor) pair is shrunk to a minimal
+    fault subset and shortest failing prefix (disable with
+    [~shrink:false] for cheap smoke runs).  Verdicts are merged back in
+    seed order, so the resulting campaign — and any report rendered
+    from it — is identical to a serial looped sweep.  Shrinking always
+    runs serially after the sweep. *)

@@ -13,14 +13,13 @@
 open Automode_robust
 
 val sweep :
-  ?cache:Cache.t -> ?shrink:bool -> ?domains:int -> ?instances:int ->
-  ?prefix_share:bool -> Scenario.t -> seeds:int list -> Scenario.campaign
+  ?cache:Cache.t -> ?shrink:bool -> ?domains:int -> ?prefix_share:bool ->
+  Scenario.t -> seeds:int list -> Scenario.campaign
 (** Like {!Automode_robust.Scenario.sweep}, but seeds present in
     [cache] are spliced from storage and only the missing seeds are
-    simulated (in parallel over [?domains], batched over the instance
-    axis with [?instances], prefix-shared via
-    {!Automode_robust.Prefix} unless [~prefix_share:false], shrinking
-    serial, exactly like the uncached sweep) and then stored.  With no
+    simulated (through {!Automode_robust.Exec} over [?domains], looped
+    with [~prefix_share:false], shrinking serial, exactly like the
+    uncached sweep) and then stored.  With no
     cache this {e is} [Scenario.sweep].  [prefix_share] is deliberately
     absent from the cache key — both execution strategies produce
     byte-identical entries.  The resulting campaign — results in seed

@@ -6,8 +6,8 @@
 open Automode_robust
 open Automode_casestudy
 
-let robustness ?cache ?shrink ?domains ?instances ?prefix_share ~seeds () =
-  Cached.sweep ?cache ?shrink ?domains ?instances ?prefix_share
+let robustness ?cache ?shrink ?domains ?prefix_share ~seeds () =
+  Cached.sweep ?cache ?shrink ?domains ?prefix_share
     Robustness.door_lock_scenario ~seeds
 
 let robustness_engine ?cache ?domains ~horizon ~seeds () =
@@ -16,9 +16,9 @@ let robustness_engine ?cache ?domains ~horizon ~seeds () =
     ~run:(fun ~seeds -> Robustness.engine_campaign ~horizon ?domains ~seeds ())
     ~seeds ()
 
-let guard ?cache ?shrink ?domains ?instances ?prefix_share ~seeds () =
+let guard ?cache ?shrink ?domains ?prefix_share ~seeds () =
   let sweep scn =
-    Cached.sweep ?cache ?shrink ?domains ?instances ?prefix_share scn ~seeds
+    Cached.sweep ?cache ?shrink ?domains ?prefix_share scn ~seeds
   in
   ( { Guarded.unguarded = sweep Guarded.unguarded_scenario;
       guarded = sweep Guarded.guarded_scenario },
@@ -32,10 +32,10 @@ let guard_engine ?cache ?domains ~horizon ~seeds () =
         Guarded.guarded_engine_campaign ~horizon ?domains ~seeds ())
       ~seeds () )
 
-let redund ?cache ?shrink ?domains ?instances ?prefix_share ~horizon ~seeds
+let redund ?cache ?shrink ?domains ?prefix_share ~horizon ~seeds
     () =
   let sweep scn =
-    Cached.sweep ?cache ?shrink ?domains ?instances ?prefix_share scn ~seeds
+    Cached.sweep ?cache ?shrink ?domains ?prefix_share scn ~seeds
   in
   let channel ~dual =
     Cached.net_campaign ?cache
@@ -65,14 +65,14 @@ type outcome = {
    a resubmission needs — so identical jobs are pure cache hits.  The
    payload is "gate=0|1\n" followed by the raw report bytes (no JSON
    escaping to keep byte-identity trivially audit-able on disk). *)
-(* [?instances] and [?prefix_share] are deliberately absent from the
-   cache key: batched, prefix-shared and looped campaigns render
-   byte-identical reports, so they share entries. *)
-let proptest ?cache ?(shrink = true) ?domains ?instances ?prefix_share
+(* [?prefix_share] is deliberately absent from the cache key: the
+   executor's plans and the looped reference render byte-identical
+   reports, so they share entries. *)
+let proptest ?cache ?(shrink = true) ?domains ?prefix_share
     ?(iterations = 2) ~seeds () =
   let compute () =
     let c =
-      Automode_casestudy.Propcase.run ~shrink ?domains ?instances
+      Automode_casestudy.Propcase.run ~shrink ?domains
         ?prefix_share ~iterations ~seeds ()
     in
     { report = Automode_casestudy.Propcase.to_text c;
@@ -129,16 +129,16 @@ let litmus_hooks cache =
     cache_find = (fun key -> Cache.find cache ~key ~decode:Option.some);
     cache_store = (fun key payload -> Cache.store cache ~key payload) }
 
-let litmus_result ?cache ?(domains = 1) ?instances ?prefix_share
+let litmus_result ?cache ?(domains = 1) ?prefix_share
     ?(bound = 2) ?(max_scenarios = 100_000) ?engine () =
   Litmus_lock.synthesize
     ?cache:(Option.map litmus_hooks cache)
     ~config:{ Synth.bound; max_scenarios; shrink = true }
-    ~domains ?instances ?prefix_share ?engine ()
+    ~domains ?prefix_share ?engine ()
 
-let litmus ?cache ?domains ?instances ?prefix_share ?bound ?max_scenarios () =
+let litmus ?cache ?domains ?prefix_share ?bound ?max_scenarios () =
   let r =
-    litmus_result ?cache ?domains ?instances ?prefix_share ?bound
+    litmus_result ?cache ?domains ?prefix_share ?bound
       ?max_scenarios ()
   in
   { report = Synth.to_text r; gate_ok = Synth.gate r }
@@ -149,13 +149,12 @@ let verdicts_fail vs =
       match v with Monitor.Fail _ -> true | Monitor.Pass -> false)
     vs
 
-let run ?cache ?shrink ?(domains = 1) ?(instances = 1)
-    ?(prefix_share = true) ?(horizon = 200_000) ?(iterations = 2)
-    ?(bound = 2) ~kind ~engine ~seeds () =
+let run ?cache ?shrink ?(domains = 1) ?prefix_share ?(horizon = 200_000)
+    ?(iterations = 2) ?(bound = 2) ~kind ~engine ~seeds () =
   match (kind, engine) with
-  | Job.Litmus, _ -> litmus ?cache ~domains ~instances ~prefix_share ~bound ()
+  | Job.Litmus, _ -> litmus ?cache ~domains ?prefix_share ~bound ()
   | Job.Proptest, _ ->
-    proptest ?cache ?shrink ~domains ~instances ~prefix_share ~iterations
+    proptest ?cache ?shrink ~domains ?prefix_share ~iterations
       ~seeds ()
   | Job.Robustness, true ->
     let results = robustness_engine ?cache ~domains ~horizon ~seeds () in
@@ -163,7 +162,7 @@ let run ?cache ?shrink ?(domains = 1) ?(instances = 1)
       gate_ok = not (List.exists (fun (_, vs) -> verdicts_fail vs) results) }
   | Job.Robustness, false ->
     let campaign =
-      robustness ?cache ?shrink ~domains ~instances ~prefix_share ~seeds ()
+      robustness ?cache ?shrink ~domains ?prefix_share ~seeds ()
     in
     { report = Report.to_text campaign;
       gate_ok = campaign.Scenario.failures = [] }
@@ -177,7 +176,7 @@ let run ?cache ?shrink ?(domains = 1) ?(instances = 1)
       gate_ok = not (List.exists (fun (_, vs) -> verdicts_fail vs) guarded) }
   | Job.Guard, false ->
     let cmp, recovery =
-      guard ?cache ?shrink ~domains ~instances ~prefix_share ~seeds ()
+      guard ?cache ?shrink ~domains ?prefix_share ~seeds ()
     in
     { report =
         Format.asprintf "%a%-20s %d/%d seeds failing@." Guarded.pp_comparison
@@ -189,7 +188,7 @@ let run ?cache ?shrink ?(domains = 1) ?(instances = 1)
         && recovery.Scenario.failures = [] }
   | Job.Redund, _ ->
     let r =
-      redund ?cache ?shrink ~domains ~instances ~prefix_share ~horizon ~seeds
+      redund ?cache ?shrink ~domains ?prefix_share ~horizon ~seeds
         ()
     in
     { report = Format.asprintf "%a" Replicated.pp_report r;

@@ -12,7 +12,7 @@ open Automode_robust
 open Automode_casestudy
 
 val robustness :
-  ?cache:Cache.t -> ?shrink:bool -> ?domains:int -> ?instances:int ->
+  ?cache:Cache.t -> ?shrink:bool -> ?domains:int ->
   ?prefix_share:bool -> seeds:int list -> unit -> Scenario.campaign
 (** The door-lock fault-injection campaign
     ({!Automode_casestudy.Robustness.door_lock_campaign}). *)
@@ -23,7 +23,7 @@ val robustness_engine :
 (** The engine-deployment campaign (CAN loss + timing faults). *)
 
 val guard :
-  ?cache:Cache.t -> ?shrink:bool -> ?domains:int -> ?instances:int ->
+  ?cache:Cache.t -> ?shrink:bool -> ?domains:int ->
   ?prefix_share:bool -> seeds:int list -> unit ->
   Guarded.comparison * Scenario.campaign
 (** The unguarded/guarded door-lock comparison plus the recovery
@@ -37,7 +37,7 @@ val guard_engine :
 (** [(unguarded, guarded)] engine campaigns of [guard --engine]. *)
 
 val redund :
-  ?cache:Cache.t -> ?shrink:bool -> ?domains:int -> ?instances:int ->
+  ?cache:Cache.t -> ?shrink:bool -> ?domains:int ->
   ?prefix_share:bool -> horizon:int -> seeds:int list -> unit ->
   Replicated.report
 (** All seven legs of the redundancy campaign
@@ -49,7 +49,7 @@ type outcome = {
 }
 
 val proptest :
-  ?cache:Cache.t -> ?shrink:bool -> ?domains:int -> ?instances:int ->
+  ?cache:Cache.t -> ?shrink:bool -> ?domains:int ->
   ?prefix_share:bool -> ?iterations:int -> seeds:int list -> unit -> outcome
 (** The generated-sequence door-lock comparison
     ({!Automode_casestudy.Propcase.run}, [?iterations] sequences per
@@ -66,7 +66,7 @@ val litmus_model : unit -> string
     a model drift explicitly. *)
 
 val litmus_result :
-  ?cache:Cache.t -> ?domains:int -> ?instances:int -> ?prefix_share:bool ->
+  ?cache:Cache.t -> ?domains:int -> ?prefix_share:bool ->
   ?bound:int -> ?max_scenarios:int ->
   ?engine:Automode_proptest.Builder.engine ->
   unit -> Automode_litmus.Synth.result
@@ -78,14 +78,14 @@ val litmus_result :
     max_scenarios 100000, 1 domain, indexed engine. *)
 
 val litmus :
-  ?cache:Cache.t -> ?domains:int -> ?instances:int -> ?prefix_share:bool ->
+  ?cache:Cache.t -> ?domains:int -> ?prefix_share:bool ->
   ?bound:int -> ?max_scenarios:int -> unit -> outcome
 (** {!litmus_result} rendered with {!Automode_litmus.Synth.to_text};
     the gate is {!Automode_litmus.Synth.gate} (at least one minimal
     distinguishing scenario, no stated-bound violations). *)
 
 val run :
-  ?cache:Cache.t -> ?shrink:bool -> ?domains:int -> ?instances:int ->
+  ?cache:Cache.t -> ?shrink:bool -> ?domains:int ->
   ?prefix_share:bool -> ?horizon:int -> ?iterations:int -> ?bound:int ->
   kind:Job.kind -> engine:bool -> seeds:int list -> unit -> outcome
 (** Render one job's report exactly as the matching CLI subcommand
@@ -93,8 +93,7 @@ val run :
     [litmus], [--engine] when [engine]), and evaluate the same
     pass/fail gate the CLI turns into its exit status.  [?iterations]
     only affects the [proptest] kind, [?bound] only [litmus];
-    [?instances] batches the scenario sweeps through the
-    struct-of-arrays engine and [?prefix_share] (default [true])
-    shares fault-free prefixes across cases via
-    {!Automode_robust.Prefix} — neither changes a byte of any
-    report.  Both are deliberately excluded from cache keys. *)
+    [~prefix_share:false] runs every case through the looped
+    reference instead of {!Automode_robust.Exec}'s plan — it does not
+    change a byte of any report and is deliberately excluded from
+    cache keys. *)

@@ -146,7 +146,6 @@ let run_job c job =
   in
   match
     Catalog.run ?cache:c.cache ~shrink:job.Job.shrink ~domains:job_domains
-      ~instances:job.Job.instances ~prefix_share:job.Job.prefix_share
       ~horizon:job.Job.horizon ~iterations:job.Job.iterations
       ~bound:job.Job.bound ~kind:job.Job.kind ~engine:job.Job.engine
       ~seeds:job.Job.seeds ()

@@ -9,8 +9,6 @@ type t = {
   horizon : int;
   iterations : int;
   bound : int;
-  instances : int;
-  prefix_share : bool;
 }
 
 let kind_to_string = function
@@ -132,19 +130,7 @@ let of_json json =
          | Some _ -> Error "bound: must be positive"
          | None -> Error "bound: expected an integer")
     in
-    let* instances =
-      match Json.member "instances" json with
-      | None | Some Json.Null -> Ok 1
-      | Some j ->
-        (match Json.to_int j with
-         | Some i when i > 0 -> Ok i
-         | Some _ -> Error "instances: must be positive"
-         | None -> Error "instances: expected an integer")
-    in
-    let* prefix_share = opt_bool ~field:"prefix_share" ~default:true json in
-    Ok
-      { id; kind; seeds; shrink; engine; horizon; iterations; bound;
-        instances; prefix_share }
+    Ok { id; kind; seeds; shrink; engine; horizon; iterations; bound }
   | _ -> Error "job: expected a JSON object"
 
 let parse_line line =
@@ -161,6 +147,4 @@ let to_json t =
       ("engine", Json.Bool t.engine);
       ("horizon", Json.Int t.horizon);
       ("iterations", Json.Int t.iterations);
-      ("bound", Json.Int t.bound);
-      ("instances", Json.Int t.instances);
-      ("prefix_share", Json.Bool t.prefix_share) ]
+      ("bound", Json.Int t.bound) ]

@@ -24,14 +24,12 @@
     - [iterations] (default [2]): generated sequences per seed, for
       the [proptest] kind (ignored by the others);
     - [bound] (default [2]): max fault atoms per enumerated scenario,
-      for the [litmus] kind (ignored by the others);
-    - [instances] (default [1]): instance-axis width of the
-      struct-of-arrays batched engine — purely a throughput knob,
-      every report stays byte-identical to the looped run;
-    - [prefix_share] (default [true]): checkpointed prefix-sharing
-      execution ({!Automode_robust.Prefix}) — like [instances], a pure
-      throughput knob with byte-identical reports; set [false] to
-      force the straight per-case loop. *)
+      for the [litmus] kind (ignored by the others).
+
+    Unknown fields are ignored.  That keeps old spool files running:
+    the retired execution knobs [instances] and [prefix_share] never
+    changed a report byte, and the campaign executor
+    ({!Automode_robust.Exec}) now picks the plan itself. *)
 
 type kind = Robustness | Guard | Redund | Proptest | Litmus
 
@@ -44,8 +42,6 @@ type t = {
   horizon : int;
   iterations : int;
   bound : int;
-  instances : int;
-  prefix_share : bool;
 }
 
 val kind_to_string : kind -> string

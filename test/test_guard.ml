@@ -358,7 +358,7 @@ let test_guarded_transparency () =
   (* protection enabled, no faults: the guarded controller's traces are
      byte-identical to the unguarded baseline on the shared flows *)
   let ticks = Robustness.lock_ticks in
-  let schedule = Robustness.lock_schedule [] in
+  let schedule = Robustness.lock_schedule in
   let base =
     Sim.run ~schedule ~ticks ~inputs:Robustness.lock_stimulus
       Door_lock.component
@@ -371,7 +371,7 @@ let test_guarded_transparency () =
 
 let test_guarded_compiled_matches () =
   let ticks = Robustness.lock_ticks in
-  let schedule = Robustness.lock_schedule [] in
+  let schedule = Robustness.lock_schedule in
   let interp =
     Sim.run ~schedule ~ticks ~inputs:Robustness.lock_stimulus Guarded.component
   in

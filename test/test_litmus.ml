@@ -148,10 +148,10 @@ let qcheck_hash_determines_classification =
 (* Synthesis                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let synth ?cache ?(bound = 2) ?domains ?instances ?prefix_share ?engine () =
+let synth ?cache ?(bound = 2) ?domains ?prefix_share ?engine () =
   Litmus_lock.synthesize ?cache
     ~config:{ Synth.default_config with Synth.bound }
-    ?domains ?instances ?prefix_share ?engine ()
+    ?domains ?prefix_share ?engine ()
 
 let test_synth_counts_coherent () =
   let r = synth () in
@@ -232,10 +232,10 @@ let test_synth_deterministic_report () =
   checks "report identical across engines" a e
 
 let test_synth_batched_identical () =
-  let looped = Synth.to_text (synth ()) in
-  checks "16 instances byte-identical" looped (Synth.to_text (synth ~instances:16 ()));
-  checks "domains x instances byte-identical" looped
-    (Synth.to_text (synth ~domains:4 ~instances:4 ()));
+  let looped = Synth.to_text (synth ~prefix_share:false ()) in
+  checks "batched plan byte-identical" looped (Synth.to_text (synth ()));
+  checks "batched plan over 4 domains byte-identical" looped
+    (Synth.to_text (synth ~domains:4 ()));
   (* The per-scenario cache must also be oblivious to batching: a cache
      warmed by a batched run serves a looped run entirely from hits, and
      the stored payloads are identical either way. *)
@@ -245,15 +245,15 @@ let test_synth_batched_identical () =
       cache_find = Hashtbl.find_opt store;
       cache_store = (fun k v -> Hashtbl.replace store k v) }
   in
-  let cold = synth ~cache:hooks ~instances:16 () in
+  let cold = synth ~cache:hooks () in
   let batched_payloads = Hashtbl.copy store in
-  let warm = synth ~cache:hooks () in
+  let warm = synth ~cache:hooks ~prefix_share:false () in
   checki "looped run after batched warm-up hits everything"
     warm.Synth.res_evaluated warm.Synth.res_cache_hits;
   checks "batched and looped cached reports byte-identical"
     (Synth.to_text cold) (Synth.to_text warm);
   Hashtbl.reset store;
-  let _ = synth ~cache:hooks () in
+  let _ = synth ~cache:hooks ~prefix_share:false () in
   Hashtbl.iter
     (fun k v ->
       match Hashtbl.find_opt batched_payloads k with
@@ -262,16 +262,14 @@ let test_synth_batched_identical () =
     store
 
 (* Prefix sharing is on by default; the synthesis report must equal
-   the looped (~prefix_share:false) run, including across the
-   domains x instances cross product and a cache warmed either way
-   (prefix_share is deliberately absent from the cache key). *)
+   the looped (~prefix_share:false) run, including over 4 domains and a
+   cache warmed either way (prefix_share is deliberately absent from
+   the cache key). *)
 let test_synth_prefix_identical () =
   let looped = Synth.to_text (synth ~prefix_share:false ()) in
   checks "shared == looped" looped (Synth.to_text (synth ()));
-  checks "shared, 16 instances == looped" looped
-    (Synth.to_text (synth ~instances:16 ()));
-  checks "shared, 4 domains x 4 instances == looped" looped
-    (Synth.to_text (synth ~domains:4 ~instances:4 ()));
+  checks "shared, 4 domains == looped" looped
+    (Synth.to_text (synth ~domains:4 ()));
   let store : (string, string) Hashtbl.t = Hashtbl.create 64 in
   let hooks =
     { Synth.cache_prefix = "prefix|";

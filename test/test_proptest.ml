@@ -252,34 +252,31 @@ let test_campaign_deterministic () =
   checks "rerun byte-identical" a (go ());
   checks "4 domains byte-identical" a (go ~domains:4 ())
 
-(* [~instances] batches the cases through the struct-of-arrays engine;
-   the campaign (cases, verdicts, shrunk counterexamples) must be
-   byte-identical to the looped run at any width, and [~instances:1] is
-   exactly today's looped path. *)
+(* The executor batches the indexed engine's cases through the
+   struct-of-arrays engine, while the interpreted and compiled engines
+   loop; the campaign (cases, verdicts, shrunk counterexamples) must be
+   byte-identical either way. *)
 let test_campaign_batched_identical () =
-  let go ?domains ?instances () =
-    Builder.to_text (Builder.run ?domains ?instances Propcase.unguarded ~seeds)
-  in
-  let looped = go () in
-  checks "1 instance == looped" looped (go ~instances:1 ());
-  checks "8 instances byte-identical" looped (go ~instances:8 ());
-  checks "4 domains x 4 instances byte-identical" looped
-    (go ~domains:4 ~instances:4 ())
+  let go ?domains spec = Builder.to_text (Builder.run ?domains spec ~seeds) in
+  let batched = go Propcase.unguarded in
+  checks "interpreted loop == batched" batched
+    (go (Builder.with_engine Builder.Interpreted Propcase.unguarded));
+  checks "compiled loop, 4 domains == batched" batched
+    (go ~domains:4 (Builder.with_engine Builder.Compiled Propcase.unguarded))
 
 (* Prefix sharing is on by default; the campaign text must equal the
-   looped (~prefix_share:false) run at every knob combination,
-   shrinking included. *)
+   looped (~prefix_share:false) run, shrinking included, also with the
+   instance axis sharded over domains. *)
 let test_campaign_prefix_identical () =
-  let go ?domains ?instances ?prefix_share () =
+  let go ?domains ?prefix_share () =
     Builder.to_text
-      (Builder.run ?domains ?instances ?prefix_share Propcase.unguarded
-         ~seeds)
+      (Builder.run ?domains ?prefix_share Propcase.unguarded ~seeds)
   in
   let looped = go ~prefix_share:false () in
   checks "shared == looped" looped (go ());
-  checks "shared, 8 instances == looped" looped (go ~instances:8 ());
-  checks "shared, 4 domains x 4 instances == looped" looped
-    (go ~domains:4 ~instances:4 ())
+  checks "shared, 4 domains == looped" looped (go ~domains:4 ());
+  checks "looped, 4 domains == looped" looped
+    (go ~domains:4 ~prefix_share:false ())
 
 let rec is_subseq small big =
   match (small, big) with

@@ -755,36 +755,31 @@ let test_parallel_engine_campaign_identical () =
 (* Instance-batched sweeps                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* The batched engine is purely a throughput knob: a sweep at any
-   (domains, instances) combination renders the very same report bytes
-   as the looped serial sweep, and [~instances:1] is exactly today's
-   looped path. *)
+(* The executor's plan is invisible in the report bytes: the default
+   plan, with or without domains sharding its instance axis, renders
+   the very same report as the looped reference. *)
 let test_batched_campaign_byte_identical () =
   let seeds = List.init 6 (fun i -> i + 1) in
   let scn = Robustness.door_lock_scenario in
-  let looped = Scenario.sweep ~shrink:false scn ~seeds in
+  let looped = Scenario.sweep ~shrink:false ~prefix_share:false scn ~seeds in
   List.iter
-    (fun (domains, instances) ->
-      let batched =
-        Scenario.sweep ~shrink:false ~domains ~instances scn ~seeds
-      in
+    (fun domains ->
+      let batched = Scenario.sweep ~shrink:false ~domains scn ~seeds in
       checks
-        (Printf.sprintf "text report identical, %d domains x %d instances"
-           domains instances)
+        (Printf.sprintf "text report identical, %d domains" domains)
         (Report.to_text looped) (Report.to_text batched);
       checks
-        (Printf.sprintf "csv report identical, %d domains x %d instances"
-           domains instances)
+        (Printf.sprintf "csv report identical, %d domains" domains)
         (Report.to_csv looped) (Report.to_csv batched))
-    [ (1, 1); (1, 3); (1, 64); (4, 4) ]
+    [ 1; 4 ]
 
 (* Shrinking stays serial after a batched sweep: shrunk counterexamples
    must also match the looped run exactly. *)
 let test_batched_sweep_shrinks_identically () =
   let seeds = [ 1; 2; 3 ] in
   let scn = Robustness.door_lock_scenario in
-  let looped = Scenario.sweep scn ~seeds in
-  let batched = Scenario.sweep ~instances:8 scn ~seeds in
+  let looped = Scenario.sweep ~prefix_share:false scn ~seeds in
+  let batched = Scenario.sweep ~domains:4 scn ~seeds in
   checks "shrunk report identical" (Report.to_text looped)
     (Report.to_text batched)
 
@@ -793,26 +788,21 @@ let test_batched_sweep_shrinks_identically () =
 (* ------------------------------------------------------------------ *)
 
 (* Prefix sharing (on by default) must be invisible in the report
-   bytes at every (domains, instances) combination, including the 4x4
-   cross product. *)
+   bytes, whichever domain count shards it. *)
 let test_prefix_sweep_byte_identical () =
   let seeds = List.init 8 (fun i -> i + 1) in
   let scn = Robustness.door_lock_scenario in
   let looped = Scenario.sweep ~shrink:false ~prefix_share:false scn ~seeds in
   List.iter
-    (fun (domains, instances) ->
-      let shared =
-        Scenario.sweep ~shrink:false ~domains ~instances scn ~seeds
-      in
+    (fun domains ->
+      let shared = Scenario.sweep ~shrink:false ~domains scn ~seeds in
       checks
-        (Printf.sprintf "text identical, %d domains x %d instances"
-           domains instances)
+        (Printf.sprintf "text identical, %d domains" domains)
         (Report.to_text looped) (Report.to_text shared);
       checks
-        (Printf.sprintf "csv identical, %d domains x %d instances"
-           domains instances)
+        (Printf.sprintf "csv identical, %d domains" domains)
         (Report.to_csv looped) (Report.to_csv shared))
-    [ (1, 1); (2, 1); (1, 4); (4, 4) ]
+    [ 1; 2; 4 ]
 
 (* Shrinking after a prefix-shared sweep replays serially: shrunk
    counterexamples match the looped run exactly too. *)
@@ -824,8 +814,8 @@ let test_prefix_sweep_shrinks_identically () =
     (Report.to_text (Scenario.sweep scn ~seeds))
 
 (* Degenerate catalog: every fault activates at tick 0, so there is no
-   shareable prefix — the executor falls back to full runs and the
-   report is still byte-identical, looped and batched. *)
+   shareable prefix — the executor runs every chunk from reset and the
+   report is still byte-identical, serial and sharded. *)
 let test_prefix_degenerate_tick0 () =
   let scn =
     Scenario.make ~name:"tick0-dropout" ~component:Door_lock.component
@@ -844,8 +834,69 @@ let test_prefix_degenerate_tick0 () =
   in
   checks "tick-0 catalog identical" looped
     (Report.to_text (Scenario.sweep ~shrink:false scn ~seeds));
-  checks "tick-0 catalog identical, batched" looped
-    (Report.to_text (Scenario.sweep ~shrink:false ~instances:4 scn ~seeds))
+  checks "tick-0 catalog identical, 4 domains" looped
+    (Report.to_text (Scenario.sweep ~shrink:false ~domains:4 scn ~seeds))
+
+(* Executor cases over the door lock: dropout windows opening at
+   [fork seed] (a tick-0 fork runs from reset, a fork at the horizon
+   never activates), plus a CRSH spike storm wired to the crash event
+   clock, so schedules diverge with the faults. *)
+let exec_ticks = 40
+let exec_base = Door_lock.crash_scenario
+let exec_events = [ ("crash", "CRSH") ]
+
+let exec_case fork seed =
+  let faults =
+    [ Fault.dropout ~flow:"FZG_V"
+        (Fault.Window { from_tick = fork seed; until_tick = exec_ticks });
+      Fault.spike ~flow:"CRSH"
+        ~value:(Value.Enum ("CrashStatus", "Crash"))
+        (Fault.Window { from_tick = fork seed + 2; until_tick = fork seed + 3 })
+    ]
+  in
+  ( faults,
+    Fault.apply faults exec_base,
+    Fault.event_schedule ~events:exec_events faults )
+
+let exec_traces ?domains ?share cases =
+  Exec.traces ?domains ?share ~ix:(Sim.index Door_lock.component)
+    ~ticks:exec_ticks ~base_inputs:exec_base ~base_schedule:Clock.no_events
+    cases
+
+(* The plan matrix: 1, W-1, W, W+1 and 3W+2 cases, over an all-tick-0
+   catalog and over mixed fork ticks (tick 0, shared late forks, and a
+   never-active catalog) — the default plan, the looped reference and
+   the plan over 4 domains each equal the per-case run_indexed. *)
+let test_exec_plan_matrix () =
+  let w = Exec.width in
+  let ix = Sim.index Door_lock.component in
+  List.iter
+    (fun (catalog, fork) ->
+      List.iter
+        (fun n ->
+          let cases = Array.init n (exec_case fork) in
+          let reference =
+            Array.map
+              (fun (_, inputs, schedule) ->
+                Trace.to_csv
+                  (Sim.run_indexed ~schedule ~ticks:exec_ticks ~inputs ix))
+              cases
+          in
+          List.iter
+            (fun (plan, traces) ->
+              Array.iteri
+                (fun i tr ->
+                  checks
+                    (Printf.sprintf "%s, %d cases, %s: case %d" catalog n plan
+                       i)
+                    reference.(i) (Trace.to_csv tr))
+                traces)
+            [ ("default", exec_traces cases);
+              ("looped", exec_traces ~share:false cases);
+              ("4 domains", exec_traces ~domains:4 cases) ])
+        [ 1; w - 1; w; w + 1; (3 * w) + 2 ])
+    [ ("tick-0", fun _ -> 0);
+      ("mixed", fun seed -> [| 0; 9; 21; 21; exec_ticks |].(seed mod 5)) ]
 
 (* Direct executor check: traces come back in case order and equal the
    per-case run_indexed; the probe counters fire only under a sink. *)
@@ -864,7 +915,7 @@ let test_prefix_traces_and_counters () =
   let m = Automode_obs.Metrics.create () in
   let shared =
     Automode_obs.Probe.with_sink (Automode_obs.Probe.standard m) (fun () ->
-        Prefix.traces ~ix ~ticks ~base_inputs:base
+        Exec.traces ~ix ~ticks ~base_inputs:base
           ~base_schedule:Clock.no_events cases)
   in
   Array.iteri
@@ -879,9 +930,40 @@ let test_prefix_traces_and_counters () =
   checki "every case forked" 9 (v "campaign.prefix.forks");
   checkb "shared ticks counted" true (v "campaign.prefix.shared_ticks" > 0);
   ignore
-    (Prefix.traces ~ix ~ticks ~base_inputs:base
+    (Exec.traces ~ix ~ticks ~base_inputs:base
        ~base_schedule:Clock.no_events cases);
   checki "no sink, counters unchanged" 9 (v "campaign.prefix.forks")
+
+(* The probe counts depend on the cases only, never on the domain
+   count; tick-0 cases run from reset, so they add no fork group and no
+   snapshot capture. *)
+let test_exec_counters_plan_independent () =
+  let fork seed = [| 0; 0; 12; 12; 25 |].(seed mod 5) in
+  let cases = Array.init 11 (exec_case fork) in
+  let keys =
+    [ "campaign.prefix.groups"; "campaign.prefix.forks";
+      "campaign.prefix.shared_ticks"; "campaign.prefix.replayed_ticks";
+      "sim.snapshot.capture"; "sim.snapshot.restore" ]
+  in
+  let counts domains =
+    let m = Automode_obs.Metrics.create () in
+    ignore
+      (Automode_obs.Probe.with_sink (Automode_obs.Probe.standard m)
+         (fun () -> exec_traces ~domains cases));
+    List.map
+      (fun k -> Option.value ~default:0 (Automode_obs.Metrics.value m k))
+      keys
+  in
+  let serial = counts 1 in
+  List.iter2
+    (fun k (a, b) -> checki (k ^ ": 1 domain == 4 domains") a b)
+    keys
+    (List.combine serial (counts 4));
+  let v k = List.assoc k (List.combine keys serial) in
+  checki "groups: distinct fork ticks above 0" 2 (v "campaign.prefix.groups");
+  checki "one capture per group" 2 (v "sim.snapshot.capture");
+  checki "forks: cases past tick 0" 6 (v "campaign.prefix.forks");
+  checki "one restore per fork" 6 (v "sim.snapshot.restore")
 
 let () =
   Alcotest.run "automode-robust"
@@ -976,5 +1058,8 @@ let () =
             test_prefix_sweep_shrinks_identically;
           Alcotest.test_case "degenerate tick-0 catalog" `Quick
             test_prefix_degenerate_tick0;
+          Alcotest.test_case "plan matrix" `Quick test_exec_plan_matrix;
+          Alcotest.test_case "counters independent of domains" `Quick
+            test_exec_counters_plan_independent;
           Alcotest.test_case "traces and counters" `Quick
             test_prefix_traces_and_counters ] ) ]

@@ -529,75 +529,86 @@ let test_daemon_concurrent_workers () =
       .Serve.Catalog.report
     (slurp (Filename.concat results "d.report.txt"))
 
+let kinds =
+  [ ("robustness", Serve.Job.Robustness);
+    ("guard", Serve.Job.Guard);
+    ("redund", Serve.Job.Redund);
+    ("proptest", Serve.Job.Proptest);
+    ("litmus", Serve.Job.Litmus) ]
+
+(* Every catalog report under the executor's default plan, the looped
+   reference (~prefix_share:false) and the plan sharded over 4 domains:
+   byte-identical reports and gates. *)
+let check_plans ?(iterations = 1) ~label ~seeds (name, kind) =
+  let go ?domains ?prefix_share () =
+    Serve.Catalog.run ?domains ?prefix_share ~shrink:false ~horizon:50_000
+      ~iterations ~bound:1 ~kind ~engine:false ~seeds ()
+  in
+  let looped = go ~prefix_share:false () in
+  let same plan (o : Serve.Catalog.outcome) =
+    let what = Printf.sprintf "%s %s: %s" name label plan in
+    checks what looped.Serve.Catalog.report o.Serve.Catalog.report;
+    checkb (what ^ " gate") looped.Serve.Catalog.gate_ok
+      o.Serve.Catalog.gate_ok
+  in
+  same "default plan == looped" (go ());
+  same "4 domains == looped" (go ~domains:4 ())
+
 let test_catalog_batched_identical () =
+  List.iter (check_plans ~label:"2 seeds" ~seeds:[ 1; 2 ]) kinds
+
+(* The plan matrix: 1, W-1, W, W+1 and 3W+1 cases (W the executor's
+   batch width), so solo runs, partial and full chunks and chunk reuse
+   are all exercised.  Proptest runs two iterations per seed, so its
+   case counts double. *)
+let test_catalog_plan_matrix () =
+  let w = Automode_robust.Exec.width in
   List.iter
-    (fun (name, kind) ->
-      let go ?domains ?instances () =
-        Serve.Catalog.run ?domains ?instances ~shrink:false ~horizon:50_000
-          ~kind ~engine:false ~seeds:[ 1; 2 ] ()
-      in
-      let looped = go () in
-      let same label (batched : Serve.Catalog.outcome) =
-        checks (name ^ " " ^ label) looped.Serve.Catalog.report
-          batched.Serve.Catalog.report;
-        checkb (name ^ " " ^ label ^ " gate") looped.Serve.Catalog.gate_ok
-          batched.Serve.Catalog.gate_ok
-      in
-      same "8 instances byte-identical" (go ~instances:8 ());
-      same "4 domains x 4 instances byte-identical"
-        (go ~domains:4 ~instances:4 ()))
-    [ ("robustness", Serve.Job.Robustness);
-      ("guard", Serve.Job.Guard);
-      ("redund", Serve.Job.Redund) ]
+    (fun n ->
+      let seeds = List.init n (fun i -> i + 1) in
+      List.iter
+        (check_plans ~iterations:2 ~label:(Printf.sprintf "%d seeds" n) ~seeds)
+        (List.filter (fun (_, k) -> k <> Serve.Job.Litmus) kinds))
+    [ 1; w - 1; w; w + 1; (3 * w) + 1 ]
 
 (* Prefix sharing (on by default) changes no byte of any catalog
-   report, for all five job kinds, including under the
-   domains x instances cross product. *)
+   report, for all five job kinds. *)
 let test_catalog_prefix_identical () =
-  List.iter
-    (fun (name, kind) ->
-      let go ?domains ?instances ?prefix_share () =
-        Serve.Catalog.run ?domains ?instances ?prefix_share ~shrink:false
-          ~horizon:50_000 ~iterations:1 ~kind ~engine:false ~seeds:[ 1; 2 ]
-          ()
-      in
-      let looped = go ~prefix_share:false () in
-      let same label (shared : Serve.Catalog.outcome) =
-        checks (name ^ " " ^ label) looped.Serve.Catalog.report
-          shared.Serve.Catalog.report;
-        checkb (name ^ " " ^ label ^ " gate") looped.Serve.Catalog.gate_ok
-          shared.Serve.Catalog.gate_ok
-      in
-      same "shared == looped" (go ());
-      same "shared, 4 domains x 4 instances == looped"
-        (go ~domains:4 ~instances:4 ()))
-    [ ("robustness", Serve.Job.Robustness);
-      ("guard", Serve.Job.Guard);
-      ("redund", Serve.Job.Redund);
-      ("proptest", Serve.Job.Proptest);
-      ("litmus", Serve.Job.Litmus) ]
+  List.iter (check_plans ~label:"3 seeds" ~seeds:[ 4; 5; 6 ]) kinds
 
-(* The job schema's [prefix_share] field: absent means [true], an
-   explicit [false] survives the to_json round-trip. *)
+(* Legacy job lines: the retired [instances] and [prefix_share] fields
+   are ignored like any unknown field (even values the old schema
+   rejected), and the job's report matches the same job without them. *)
 let test_job_prefix_share_field () =
-  (match
-     Serve.Job.parse_line "{\"id\":\"p1\",\"kind\":\"robustness\",\"seeds\":[1]}"
-   with
-   | Ok j -> checkb "default on" true j.Serve.Job.prefix_share
-   | Error e -> Alcotest.failf "parse failed: %s" e);
-  match
-    Serve.Job.parse_line
-      "{\"id\":\"p2\",\"kind\":\"robustness\",\"seeds\":[1],\
-       \"prefix_share\":false}"
+  let parse line =
+    match Serve.Job.parse_line line with
+    | Ok j -> j
+    | Error e -> Alcotest.failf "parse failed: %s" e
+  in
+  let plain =
+    parse "{\"id\":\"p1\",\"kind\":\"guard\",\"seeds\":[1,2,3]}"
+  in
+  let legacy =
+    parse
+      "{\"id\":\"p1\",\"kind\":\"guard\",\"seeds\":[1,2,3],\
+       \"instances\":8,\"prefix_share\":false}"
+  in
+  checkb "legacy fields ignored" true (plain = legacy);
+  ignore
+    (parse
+       "{\"id\":\"p3\",\"kind\":\"robustness\",\"seeds\":[1],\
+        \"instances\":0}");
+  let report (j : Serve.Job.t) =
+    (Serve.Catalog.run ~shrink:j.Serve.Job.shrink ~kind:j.Serve.Job.kind
+       ~engine:j.Serve.Job.engine ~seeds:j.Serve.Job.seeds ())
+      .Serve.Catalog.report
+  in
+  checks "legacy job report == plain job report" (report plain)
+    (report legacy);
+  match Serve.Job.parse_line (Serve.Json.to_string (Serve.Job.to_json legacy))
   with
-  | Ok j ->
-    checkb "explicit off" false j.Serve.Job.prefix_share;
-    (match
-       Serve.Job.parse_line (Serve.Json.to_string (Serve.Job.to_json j))
-     with
-     | Ok j' -> checkb "round-trips" true (j = j')
-     | Error e -> Alcotest.failf "reparse failed: %s" e)
-  | Error e -> Alcotest.failf "parse failed: %s" e
+  | Ok j' -> checkb "round-trips" true (legacy = j')
+  | Error e -> Alcotest.failf "reparse failed: %s" e
 
 let test_daemon_socket () =
   let spool = temp_dir "automode-spool3" in
@@ -662,6 +673,7 @@ let suite =
       test_daemon_concurrent_workers;
     Alcotest.test_case "catalog batched byte-identical" `Quick
       test_catalog_batched_identical;
+    Alcotest.test_case "catalog plan matrix" `Quick test_catalog_plan_matrix;
     Alcotest.test_case "catalog prefix-shared byte-identical" `Quick
       test_catalog_prefix_identical;
     Alcotest.test_case "job prefix_share field" `Quick

@@ -1092,24 +1092,43 @@ let test_batch_rejects () =
 (* Snapshots                                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* The Sim.Snapshot determinism contract, asserted at cmp level: a
-   resume from any capture tick renders byte-identically (to_csv) to
-   the straight run, for every capture point at once. *)
+(* The batch snapshot determinism contract, asserted at cmp level: the
+   trunk runs in column 0 and is captured at every tick of [at]; each
+   snapshot is then restored into every column and resumed, and every
+   column renders byte-identically (to_csv) to the straight run. *)
 let assert_snapshot_identity ?schedule name comp ~ticks ~inputs ~at =
   let ix = Sim.index comp in
   let reference = Trace.to_csv (Sim.run_indexed ?schedule ~ticks ~inputs ix) in
-  let snaps = Sim.snapshot_run ?schedule ~at ~inputs ix in
+  let schedules = Option.map (fun s _ -> s) schedule in
+  let instances = 3 in
+  let b = Sim.batch ~instances ix in
+  let snaps =
+    List.rev
+      (snd
+         (List.fold_left
+            (fun (prev, acc) t ->
+              Sim.run_batch ?schedules ~count:1 ~start:prev ~stop:t
+                ~reset:(prev = 0) ~ticks ~inputs:(fun _ -> inputs) b;
+              (t, Sim.batch_snapshot b ~instance:0 ~tick:t :: acc))
+            (0, []) at))
+  in
   List.iter2
     (fun t snap ->
       checki (Printf.sprintf "%s: capture tick %d" name t) t
-        (Sim.Snapshot.tick snap);
-      checki (Printf.sprintf "%s: prefix rows at %d" name t) t
-        (Trace.length (Sim.Snapshot.trace snap));
-      let resumed = Sim.resume_indexed ?schedule ~ticks ~inputs snap in
-      checkb
-        (Printf.sprintf "%s: resume from %d equals straight run" name t)
-        true
-        (String.equal (Trace.to_csv resumed) reference))
+        (Sim.batch_snapshot_tick snap);
+      for j = 0 to instances - 1 do
+        Sim.batch_restore b snap ~instance:j
+      done;
+      Sim.run_batch ?schedules ~start:t ~reset:false ~ticks
+        ~inputs:(fun _ -> inputs) b;
+      for j = 0 to instances - 1 do
+        checkb
+          (Printf.sprintf "%s: column %d resumed from %d equals straight run"
+             name j t)
+          true
+          (String.equal (Trace.to_csv (Sim.batch_trace b ~instance:j))
+             reference)
+      done)
     at snaps
 
 (* Faulted net with capture points inside a dropout (silence) window
@@ -1124,10 +1143,9 @@ let test_snapshot_faulted_door_lock () =
         (Fault.Window { from_tick = 16; until_tick = 26 }) ]
   in
   let schedule =
-    Fault.schedule_of_faults
+    Fault.event_schedule
       ~base:(fun name tick -> String.equal name "crash" && tick = 6)
-      (List.filter (fun f -> String.equal (Fault.flow f) "CRSH") faults)
-      ~event:"crash"
+      ~events:[ ("crash", "CRSH") ] faults
   in
   let inputs =
     Fault.apply faults Automode_casestudy.Door_lock.crash_scenario
@@ -1152,10 +1170,10 @@ let test_snapshot_replicated () =
     ~inputs:Rep.repl_stimulus
     ~at:[ 1; Rep.repl_ticks / 2; Rep.repl_ticks - 1 ]
 
-(* A snapshot is immutable: resuming it with one suffix, then another,
+(* A snapshot is immutable: restoring it with one suffix, then another,
    then the first again yields the first result byte-for-byte — the
    fork-from-divergence scheduler relies on replaying one snapshot
-   under many suffixes in arbitrary order. *)
+   under many suffixes in arbitrary order and columns. *)
 let test_snapshot_resume_independence () =
   let ix = Sim.index counter in
   let fork = 8 and ticks = 20 in
@@ -1163,26 +1181,40 @@ let test_snapshot_resume_independence () =
   let with_suffix v t =
     if t < fork then prefix t else [ ("step", present_i v) ]
   in
-  let snap = List.hd (Sim.snapshot_run ~at:[ fork ] ~inputs:prefix ix) in
-  let run v = Trace.to_csv (Sim.resume_indexed ~ticks ~inputs:(with_suffix v) snap) in
-  let a1 = run 5 in
-  let b = run 9 in
-  let a2 = run 5 in
+  let b = Sim.batch ~instances:2 ix in
+  Sim.run_batch ~count:1 ~stop:fork ~ticks ~inputs:(fun _ -> prefix) b;
+  let snap = Sim.batch_snapshot b ~instance:0 ~tick:fork in
+  let run ~instance v =
+    Sim.batch_restore b snap ~instance;
+    Sim.run_batch ~count:(instance + 1) ~start:fork ~reset:false ~ticks
+      ~inputs:(fun _ -> with_suffix v)
+      b;
+    Trace.to_csv (Sim.batch_trace b ~instance)
+  in
+  let a1 = run ~instance:0 5 in
+  let b9 = run ~instance:1 9 in
+  let a2 = run ~instance:1 5 in
   checkb "same suffix twice is byte-identical" true (String.equal a1 a2);
-  checkb "different suffixes diverge" false (String.equal a1 b);
+  checkb "different suffixes diverge" false (String.equal a1 b9);
   checkb "resume equals straight run of the composite stimulus" true
     (String.equal a1
        (Trace.to_csv (Sim.run_indexed ~ticks ~inputs:(with_suffix 5) ix)))
 
+(* A restored column's trace before the restore tick is the snapshot's
+   prefix, so capturing that column earlier than its restore tick is
+   rejected rather than answered with rows the column never stepped. *)
 let test_snapshot_rejects () =
   let ix = Sim.index counter in
-  let inputs _ = [ ("step", present_i 1) ] in
-  checkb "snapshot_run rejects unsorted capture ticks" true
-    (try ignore (Sim.snapshot_run ~at:[ 5; 3 ] ~inputs ix); false
+  let inputs _ _ = [ ("step", present_i 1) ] in
+  let b = Sim.batch ~instances:2 ix in
+  Sim.run_batch ~count:1 ~stop:6 ~ticks:10 ~inputs b;
+  let snap = Sim.batch_snapshot b ~instance:0 ~tick:6 in
+  Sim.batch_restore b snap ~instance:1;
+  checkb "batch_snapshot rejects a tick before the restore tick" true
+    (try ignore (Sim.batch_snapshot b ~instance:1 ~tick:4); false
      with Sim.Sim_error _ -> true);
-  let snap = List.hd (Sim.snapshot_run ~at:[ 4 ] ~inputs ix) in
-  checkb "resume_indexed rejects a horizon before the capture tick" true
-    (try ignore (Sim.resume_indexed ~ticks:3 ~inputs snap); false
+  checkb "batch_snapshot rejects a tick before the last capture" true
+    (try ignore (Sim.batch_snapshot b ~instance:0 ~tick:5); false
      with Sim.Sim_error _ -> true)
 
 (* The batched fork: simulate a shared prefix in one column, snapshot
