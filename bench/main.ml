@@ -612,6 +612,44 @@ let e21_batch ~domains () =
     ("core/E21-batch-cold-1000x32", t_cold *. 1e9);
     ("core/E21-batch-warm-1000x32", t_warm *. 1e9) ]
 
+(* E5's compile-path scaling gate: [Sim.index] (causality order plus
+   slot/driver resolution) must grow near-linearly in the number of
+   blocks.  Min of 5 samples at n = 200, 400 and 800 random-DFD blocks;
+   the 800/200 ratio must stay <= 10x (quadratic growth would be 16x).
+   Every sample compiles 800 blocks' worth (800/n calls, timed per
+   call), so each size pays its share of minor-GC work alike, and the
+   sizes' samples interleave, so machine noise hits them alike.  Both
+   sides come from the same process, so it asserts in every mode. *)
+let e5_index_scaling () =
+  section "E5 | compile-path scaling: Sim.index on random DFDs";
+  let sizes = [| 200; 400; 800 |] in
+  let comps =
+    Array.map (fun n -> Workloads.random_dfd_component ~seed:42 ~n) sizes
+  in
+  let best = Array.make (Array.length sizes) infinity in
+  for _ = 1 to 5 do
+    Array.iteri
+      (fun i comp ->
+        let calls = 800 / sizes.(i) in
+        let t0 = Unix.gettimeofday () in
+        for _ = 1 to calls do
+          ignore (Sim.index comp)
+        done;
+        let dt = (Unix.gettimeofday () -. t0) /. float_of_int calls in
+        if dt < best.(i) then best.(i) <- dt)
+      comps
+  done;
+  Array.iteri
+    (fun i n -> Printf.printf "Sim.index n=%d: %.2f ms\n" n (best.(i) *. 1e3))
+    sizes;
+  let ratio = best.(2) /. best.(0) in
+  if ratio <= 10. then
+    Printf.printf "Sim.index n=800/n=200 <= 10x: OK (%.1fx)\n" ratio
+  else begin
+    Printf.printf "Sim.index n=800/n=200 <= 10x: FAILED (%.1fx)\n" ratio;
+    exit 1
+  end
+
 (* E22: the campaign executor's prefix-sharing plan (Robust.Exec: batch
    snapshots + fork-from-divergence scheduling) vs. its looped
    reference ([~prefix_share:false]).  Two workloads whose faults all
@@ -812,6 +850,13 @@ let e5_tests =
                    [ ("src", Value.Present (Value.Float (float_of_int t))) ])
                  comp)) ])
     [ 50; 200 ]
+  @ List.map
+      (fun n ->
+        let comp = Workloads.random_dfd_component ~seed:42 ~n in
+        Test.make
+          ~name:(Printf.sprintf "E5/sim-index-%d" n)
+          (stage (fun () -> Sim.index comp)))
+      [ 200; 400; 800 ]
 
 let e6_tests =
   List.map
@@ -1154,6 +1199,7 @@ let () =
   let serve_rows = e18_cache ~assert_bounds () in
   let prop_rows = e19_proptest ~assert_bounds () in
   let litmus_rows = e20_litmus ~assert_bounds () in
+  e5_index_scaling ();
   (* E21 asserts its ratio and identity in every mode, including the
      --artifacts-only CI smoke: both sides of the ratio come from the
      same process on the same machine. *)

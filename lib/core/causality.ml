@@ -8,107 +8,146 @@ let instantaneous_edges (net : Model.network) =
       | Some _, Some _ | None, _ | _, None -> None)
     net.net_channels
 
-(* Tarjan's strongly connected components over the component graph. *)
-let sccs nodes edges =
-  let index = Hashtbl.create 16 in
-  let lowlink = Hashtbl.create 16 in
-  let on_stack = Hashtbl.create 16 in
+(* The instantaneous dependency graph over dense ids.  Declared
+   components get ids 0 .. ndecl-1 in first-declaration order (a repeated
+   name keeps its first id); names that only occur as channel endpoints
+   follow, in edge order.  Successor lists keep channel order, duplicates
+   included, so the traversals below visit exactly what a scan of the
+   edge list would. *)
+type graph = {
+  names : string array;
+  ndecl : int;
+  succ : int list array;
+  self_loop : bool array;
+}
+
+let graph (net : Model.network) =
+  let ids = Hashtbl.create 64 in
+  let rev_names = ref [] in
+  let count = ref 0 in
+  let id_of name =
+    match Hashtbl.find_opt ids name with
+    | Some i -> i
+    | None ->
+      let i = !count in
+      Hashtbl.add ids name i;
+      rev_names := name :: !rev_names;
+      incr count;
+      i
+  in
+  List.iter (fun (c : Model.component) -> ignore (id_of c.comp_name))
+    net.net_components;
+  let ndecl = !count in
+  let edges =
+    List.map (fun (a, b) -> (id_of a, id_of b)) (instantaneous_edges net)
+  in
+  let succ = Array.make !count [] in
+  let self_loop = Array.make !count false in
+  List.iter
+    (fun (a, b) ->
+      succ.(a) <- b :: succ.(a);
+      if a = b then self_loop.(a) <- true)
+    edges;
+  { names = Array.of_list (List.rev !rev_names);
+    ndecl;
+    succ = Array.map List.rev succ;
+    self_loop }
+
+(* Tarjan's strongly connected components, rooted at the declared
+   components in declaration order. *)
+let sccs g =
+  let n = Array.length g.names in
+  let index = Array.make n (-1) in
+  let lowlink = Array.make n 0 in
+  let on_stack = Array.make n false in
   let stack = ref [] in
   let counter = ref 0 in
   let result = ref [] in
-  let successors n =
-    List.filter_map (fun (a, b) -> if String.equal a n then Some b else None)
-      edges
-  in
   let rec strongconnect v =
-    Hashtbl.replace index v !counter;
-    Hashtbl.replace lowlink v !counter;
+    index.(v) <- !counter;
+    lowlink.(v) <- !counter;
     incr counter;
     stack := v :: !stack;
-    Hashtbl.replace on_stack v true;
+    on_stack.(v) <- true;
     List.iter
       (fun w ->
-        if not (Hashtbl.mem index w) then begin
+        if index.(w) < 0 then begin
           strongconnect w;
-          Hashtbl.replace lowlink v
-            (Stdlib.min (Hashtbl.find lowlink v) (Hashtbl.find lowlink w))
+          lowlink.(v) <- Stdlib.min lowlink.(v) lowlink.(w)
         end
-        else if Hashtbl.mem on_stack w && Hashtbl.find on_stack w then
-          Hashtbl.replace lowlink v
-            (Stdlib.min (Hashtbl.find lowlink v) (Hashtbl.find index w)))
-      (successors v);
-    if Hashtbl.find lowlink v = Hashtbl.find index v then begin
+        else if on_stack.(w) then
+          lowlink.(v) <- Stdlib.min lowlink.(v) index.(w))
+      g.succ.(v);
+    if lowlink.(v) = index.(v) then begin
       let rec pop acc =
         match !stack with
         | [] -> acc
         | w :: rest ->
           stack := rest;
-          Hashtbl.replace on_stack w false;
-          if String.equal w v then w :: acc else pop (w :: acc)
+          on_stack.(w) <- false;
+          if w = v then w :: acc else pop (w :: acc)
       in
       result := pop [] :: !result
     end
   in
-  List.iter (fun n -> if not (Hashtbl.mem index n) then strongconnect n) nodes;
+  for v = 0 to g.ndecl - 1 do
+    if index.(v) < 0 then strongconnect v
+  done;
   List.rev !result
 
-let cyclic_sccs (net : Model.network) =
-  let nodes = List.map (fun (c : Model.component) -> c.comp_name) net.net_components in
-  let edges = instantaneous_edges net in
-  let has_self_loop n = List.exists (fun (a, b) -> String.equal a n && String.equal b n) edges in
-  List.filter
+let cyclic_sccs g =
+  List.filter_map
     (fun scc ->
       match scc with
-      | [] -> false
-      | [ n ] -> has_self_loop n
-      | _ :: _ :: _ -> true)
-    (sccs nodes edges)
+      | [] -> None
+      | [ v ] when not g.self_loop.(v) -> None
+      | _ -> Some (List.map (fun v -> g.names.(v)) scc))
+    (sccs g)
+
+let smallest_first loops =
+  List.sort (fun a b -> Int.compare (List.length a) (List.length b)) loops
 
 let check net =
-  match cyclic_sccs net with
+  match cyclic_sccs (graph net) with
   | [] -> Ok ()
-  | loops ->
-    Error
-      (List.sort
-         (fun a b -> Int.compare (List.length a) (List.length b))
-         loops)
+  | loops -> Error (smallest_first loops)
+
+module Int_set = Set.Make (Int)
 
 let evaluation_order (net : Model.network) =
-  match cyclic_sccs net with
-  | _ :: _ as loops ->
-    Error
-      (List.sort (fun a b -> Int.compare (List.length a) (List.length b)) loops)
+  let g = graph net in
+  match cyclic_sccs g with
+  | _ :: _ as loops -> Error (smallest_first loops)
   | [] ->
-    (* Kahn's algorithm, preferring declaration order among ready nodes. *)
-    let edges = instantaneous_edges net in
-    let nodes =
-      List.map (fun (c : Model.component) -> c.comp_name) net.net_components
-    in
-    let rec go order remaining edges =
-      match remaining with
-      | [] -> List.rev order
-      | _ ->
+    (* Kahn's algorithm over declared components.  Ids are declaration
+       indices, so the smallest ready id is the ready component declared
+       first.  An undeclared source is never evaluated, so its edges
+       impose no order. *)
+    let indeg = Array.make g.ndecl 0 in
+    for a = 0 to g.ndecl - 1 do
+      List.iter
+        (fun b -> if b < g.ndecl then indeg.(b) <- indeg.(b) + 1)
+        g.succ.(a)
+    done;
+    let ready = ref Int_set.empty in
+    Array.iteri (fun v d -> if d = 0 then ready := Int_set.add v !ready) indeg;
+    let rec go order ready =
+      match Int_set.min_elt_opt ready with
+      | None -> List.rev order
+      | Some v ->
         let ready =
-          List.find_opt
-            (fun n ->
-              not
-                (List.exists
-                   (fun (_, b) -> String.equal b n)
-                   edges))
-            remaining
+          List.fold_left
+            (fun ready w ->
+              if w >= g.ndecl then ready
+              else begin
+                indeg.(w) <- indeg.(w) - 1;
+                if indeg.(w) = 0 then Int_set.add w ready else ready
+              end)
+            (Int_set.remove v ready) g.succ.(v)
         in
-        (match ready with
-         | None -> assert false (* acyclic by the SCC check above *)
-         | Some n ->
-           let remaining =
-             List.filter (fun m -> not (String.equal m n)) remaining
-           in
-           let edges =
-             List.filter (fun (a, _) -> not (String.equal a n)) edges
-           in
-           go (n :: order) remaining edges)
+        go (g.names.(v) :: order) ready
     in
-    Ok (go [] nodes edges)
+    Ok (go [] !ready)
 
 let check_recursive (comp : Model.component) =
   let offending = ref [] in

@@ -731,6 +731,20 @@ let rec index_behavior ~(ports : Model.port list) (behavior : Model.behavior) :
     Ix_atomic { xa_ports = ports; xa_behavior = b }
 
 and index_network ~ssd (net : Model.network) : ix_net =
+  (* name -> component, first declaration wins (as Model.find_component) *)
+  let comp_tbl = Hashtbl.create 64 in
+  List.iter
+    (fun (c : Model.component) ->
+      if not (Hashtbl.mem comp_tbl c.comp_name) then
+        Hashtbl.add comp_tbl c.comp_name c)
+    net.net_components;
+  List.iter
+    (fun (ch : Model.channel) ->
+      match ch.ch_src.ep_comp with
+      | Some comp when not (Hashtbl.mem comp_tbl comp) ->
+        sim_error "network %s: unknown component %s" net.net_name comp
+      | Some _ | None -> ())
+    net.net_channels;
   let order =
     if ssd then
       List.map (fun (c : Model.component) -> c.comp_name) net.net_components
@@ -744,7 +758,11 @@ and index_network ~ssd (net : Model.network) : ix_net =
   (* Number every (component, output port) pair used as a channel
      source; topological order guarantees a slot is written before any
      instantaneous read of it. *)
-  let slot_tbl : (string * string, int) Hashtbl.t = Hashtbl.create 32 in
+  let slot_tbl : (string * string, int) Hashtbl.t = Hashtbl.create 64 in
+  (* component -> its (output port, slot) pairs, newest first *)
+  let comp_slots : (string, (string * int) list) Hashtbl.t =
+    Hashtbl.create 64
+  in
   let nslots = ref 0 in
   let slot_of comp port =
     match Hashtbl.find_opt slot_tbl (comp, port) with
@@ -753,8 +771,24 @@ and index_network ~ssd (net : Model.network) : ix_net =
       let i = !nslots in
       incr nslots;
       Hashtbl.add slot_tbl (comp, port) i;
+      Hashtbl.replace comp_slots comp
+        ((port, i)
+         :: Option.value ~default:[] (Hashtbl.find_opt comp_slots comp));
       i
   in
+  (* (component, input port) -> the first channel in channel order that
+     drives it *)
+  let driver_tbl : (string * string, Model.channel) Hashtbl.t =
+    Hashtbl.create 64
+  in
+  List.iter
+    (fun (ch : Model.channel) ->
+      match ch.ch_dst.ep_comp with
+      | Some comp ->
+        let key = (comp, ch.ch_dst.ep_port) in
+        if not (Hashtbl.mem driver_tbl key) then Hashtbl.add driver_tbl key ch
+      | None -> ())
+    net.net_channels;
   let buf_of =
     let tbl = Hashtbl.create 32 in
     List.iteri
@@ -804,35 +838,23 @@ and index_network ~ssd (net : Model.network) : ix_net =
     Array.of_list
       (List.map
          (fun comp_name ->
-           let comp =
-             match Model.find_component net comp_name with
-             | Some c -> c
-             | None ->
-               sim_error "network %s: unknown component %s" net.net_name
-                 comp_name
-           in
+           let comp = Hashtbl.find comp_tbl comp_name in
            let drivers =
              Array.of_list
                (List.filter_map
                   (fun (p : Model.port) ->
                     if p.port_dir <> Model.In then None
                     else
-                      let driver =
-                        List.find_opt
-                          (fun (ch : Model.channel) ->
-                            ch.ch_dst.ep_comp = Some comp_name
-                            && String.equal ch.ch_dst.ep_port p.port_name)
-                          net.net_channels
-                      in
-                      Option.map (fun ch -> (p.port_name, read_of ch)) driver)
+                      Option.map
+                        (fun ch -> (p.port_name, read_of ch))
+                        (Hashtbl.find_opt driver_tbl (comp_name, p.port_name)))
                   comp.comp_ports)
            in
            let node = index_behavior ~ports:comp.comp_ports comp.comp_behavior in
            let my_slots =
-             Hashtbl.fold
-               (fun (c, port) slot acc ->
-                 if String.equal c comp_name then (port, slot) :: acc else acc)
-               slot_tbl []
+             match Hashtbl.find_opt comp_slots comp_name with
+             | Some newest_first -> List.rev newest_first
+             | None -> []
            in
            let outs =
              match node with

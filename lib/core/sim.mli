@@ -96,7 +96,8 @@ val run_compiled :
 type indexed
 
 val index : Model.component -> indexed
-(** @raise Sim_error on instantaneous loops (as {!init}). *)
+(** @raise Sim_error on instantaneous loops (as {!init}) and on a channel
+    whose source is an undeclared component. *)
 
 type ix_state
 (** Mutable run-time state of one indexed simulation: pre-sized slot,

@@ -7,13 +7,23 @@ let rec size : Expr.t -> int = function
   | Expr.Call (_, args) ->
     1 + List.fold_left (fun acc a -> acc + size a) 0 args
 
+let rec has_nan = function
+  | Value.Float f -> Float.is_nan f
+  | Value.Tuple vs -> List.exists has_nan vs
+  | Value.Bool _ | Value.Int _ | Value.Enum _ -> false
+
 (* Fold a closed operator application faithfully: on a run-time failure
    (type error, division by zero, unknown function) the term is left
-   untouched so the error still happens at the original evaluation site. *)
+   untouched so the error still happens at the original evaluation site.
+   A NaN result is not folded either: structural equality is false on
+   NaN, so a NaN constant would never compare equal to itself. *)
 let try_fold f original =
-  try f () with
-  | Value.Type_error _ | Division_by_zero | Invalid_argument _
-  | Block_lib.Unknown_function _ | Block_lib.Arity_error _ ->
+  match f () with
+  | Expr.Const v when has_nan v -> original
+  | folded -> folded
+  | exception
+      ( Value.Type_error _ | Division_by_zero | Invalid_argument _
+      | Block_lib.Unknown_function _ | Block_lib.Arity_error _ ) ->
     original
 
 let fold_unop op v original =
@@ -48,14 +58,31 @@ let fold_binop op a b original =
          | Expr.Max -> Value.max_v a b))
     original
 
-let is_zero = function
+(* An operand that is a Float whenever it is well-typed and present. *)
+let rec surely_float : Expr.t -> bool = function
+  | Expr.Const (Value.Float _) -> true
+  | Expr.Binop
+      ((Expr.Add | Expr.Sub | Expr.Mul | Expr.Div | Expr.Min | Expr.Max), a, b)
+    -> surely_float a || surely_float b
+  | Expr.Unop ((Expr.Neg | Expr.Abs), a) | Expr.When (a, _) -> surely_float a
+  | Expr.If (_, a, b) -> surely_float a && surely_float b
+  | Expr.Pre (Value.Float _, a) | Expr.Current (Value.Float _, a) ->
+    surely_float a
+  | Expr.Const _ | Expr.Var _ | Expr.Is_present _ | Expr.Unop (Expr.Not, _)
+  | Expr.Binop _ | Expr.Pre _ | Expr.Current _ | Expr.Call _ -> false
+
+(* Neutral elements next to the operand [next].  Numeric promotion makes
+   [x + 0.0] a Float even when [x] is an Int, so a Float 0/1 is neutral
+   only next to a surely-Float operand; an Int one never changes the
+   numeric type. *)
+let is_zero ~next = function
   | Value.Int 0 -> true
-  | Value.Float f -> Float.equal f 0.
+  | Value.Float f -> Float.equal f 0. && surely_float next
   | Value.Int _ | Value.Bool _ | Value.Enum _ | Value.Tuple _ -> false
 
-let is_one = function
+let is_one ~next = function
   | Value.Int 1 -> true
-  | Value.Float f -> Float.equal f 1.
+  | Value.Float f -> Float.equal f 1. && surely_float next
   | Value.Int _ | Value.Bool _ | Value.Enum _ | Value.Tuple _ -> false
 
 let negated_cmp = function
@@ -90,11 +117,12 @@ let rec pass (e : Expr.t) : Expr.t =
        fold_binop op va vb (Expr.Binop (op, a, b))
      (* neutral element on the constant side: presence follows the other
         operand either way, so dropping the constant is sound *)
-     | (Expr.Add | Expr.Sub), other, Expr.Const z when is_zero z -> other
-     | Expr.Add, Expr.Const z, other when is_zero z -> other
-     | Expr.Mul, other, Expr.Const o when is_one o -> other
-     | Expr.Mul, Expr.Const o, other when is_one o -> other
-     | Expr.Div, other, Expr.Const o when is_one o -> other
+     | (Expr.Add | Expr.Sub), other, Expr.Const z when is_zero ~next:other z
+       -> other
+     | Expr.Add, Expr.Const z, other when is_zero ~next:other z -> other
+     | Expr.Mul, other, Expr.Const o when is_one ~next:other o -> other
+     | Expr.Mul, Expr.Const o, other when is_one ~next:other o -> other
+     | Expr.Div, other, Expr.Const o when is_one ~next:other o -> other
      | Expr.And, other, Expr.Const (Value.Bool true) -> other
      | Expr.And, Expr.Const (Value.Bool true), other -> other
      | Expr.Or, other, Expr.Const (Value.Bool false) -> other

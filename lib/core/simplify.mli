@@ -18,12 +18,14 @@
 val expr : Expr.t -> Expr.t
 (** Bottom-up simplification to a fixpoint:
     - constant folding of operators and library calls over constants
-      (faithful to run-time evaluation, including integer division);
+      (faithful to run-time evaluation, including integer division; a
+      NaN result is left unfolded);
     - [if true/false] and [if c then e else e] collapse (the latter only
       when [c] cannot be absent, i.e. [c] is constant);
     - neutral elements on the always-present side: [e + 0], [e - 0],
       [e * 1], [e / 1], [b && true], [b || false] where the constant is
-      the {e other} operand;
+      the {e other} operand — a Float [0.0]/[1.0] only when [e] is surely
+      a Float, so numeric promotion cannot change the result's type;
     - double negation, [not] of comparisons;
     - nested [When] on the same clock;
     - idempotent [min]/[max] with equal constant operands. *)
