@@ -218,8 +218,9 @@ let e16_overhead ~assert_bound () =
       exit 1
     end
 
-(* E17: the index-compiled engine vs. the closure-compiled one, and the
-   domain-parallel campaign sweep vs. serial.  Engine speedups are
+(* E17: the indexed engine vs. the interpreted oracle on the same
+   workload, and the domain-parallel campaign sweep vs. serial.  Engine
+   speedups are
    asserted in full bench mode; the parallel speedup additionally needs
    actual cores (a single-CPU runner can only lose wall clock to domain
    overhead, while the byte-identity of the reports holds anywhere and
@@ -227,18 +228,22 @@ let e16_overhead ~assert_bound () =
 let e17_speedups ~domains ~assert_bounds () =
   section "E17 | indexed engine + domain-parallel campaign sweeps";
   let reps = 5 in
+  let time_once f =
+    let t0 = Unix.gettimeofday () in
+    ignore (f ());
+    Unix.gettimeofday () -. t0
+  in
   let min_time f =
     let best = ref infinity in
     for _ = 1 to reps do
-      let t0 = Unix.gettimeofday () in
-      ignore (f ());
-      let dt = Unix.gettimeofday () -. t0 in
-      if dt < !best then best := dt
+      best := Float.min !best (time_once f)
     done;
     !best
   in
-  (* engine speedup: same workloads as ablation/engine-sim-compiled-500t
-     and E5/dfd-sim-200-32t *)
+  (* engine speedup: same workloads as ablation/engine-sim-indexed-500t
+     and E5/dfd-sim-200-32t; each bound is the retired closure engine's
+     3x gate times that engine's own lead over the oracle (2.0x and
+     3.1x), so the gate is no looser than the one it replaces *)
   let fda, _ = Engine_ascet.reengineer () in
   let fda_inputs tick =
     List.map
@@ -247,30 +252,38 @@ let e17_speedups ~domains ~assert_bounds () =
   in
   let dfd = Workloads.random_dfd_component ~seed:42 ~n:200 in
   let dfd_inputs t = [ ("src", Value.Present (Value.Float (float_of_int t))) ] in
+  (* oracle and indexed samples alternate, so a load spike on a shared
+     box hits both sides of the ratio rather than one *)
   let engine_rows =
     List.map
-      (fun (name, comp, inputs, ticks) ->
-        let compiled = Sim.compile comp in
+      (fun (name, comp, inputs, ticks, bound) ->
         let indexed = Sim.index comp in
-        let t_c = min_time (fun () -> Sim.run_compiled ~ticks ~inputs compiled) in
-        let t_i = min_time (fun () -> Sim.run_indexed ~ticks ~inputs indexed) in
-        (name, t_c, t_i, t_c /. t_i))
-      [ ("engine-fda-500t", fda.Model.model_root, fda_inputs, 500);
-        ("random-dfd-200-32t", dfd, dfd_inputs, 32) ]
+        let t_o = ref infinity and t_i = ref infinity in
+        for _ = 1 to 2 * reps do
+          t_o :=
+            Float.min !t_o (time_once (fun () -> Sim.run ~ticks ~inputs comp));
+          t_i :=
+            Float.min !t_i
+              (time_once (fun () -> Sim.run_indexed ~ticks ~inputs indexed))
+        done;
+        (name, !t_o, !t_i, !t_o /. !t_i, bound))
+      [ ("engine-fda-500t", fda.Model.model_root, fda_inputs, 500, 6.);
+        ("random-dfd-200-32t", dfd, dfd_inputs, 32, 9.) ]
   in
-  Printf.printf "%-22s %14s %14s %9s\n" "workload" "closure ms" "indexed ms"
+  Printf.printf "%-22s %14s %14s %9s\n" "workload" "oracle ms" "indexed ms"
     "speedup";
   List.iter
-    (fun (name, t_c, t_i, r) ->
-      Printf.printf "%-22s %14.2f %14.2f %8.2fx\n" name (t_c *. 1e3)
+    (fun (name, t_o, t_i, r, _) ->
+      Printf.printf "%-22s %14.2f %14.2f %8.2fx\n" name (t_o *. 1e3)
         (t_i *. 1e3) r)
     engine_rows;
   if assert_bounds then
     List.iter
-      (fun (name, _, _, r) ->
-        if r >= 3. then Printf.printf "%s speedup >= 3x: OK\n" name
+      (fun (name, _, _, r, bound) ->
+        if r >= bound then
+          Printf.printf "%s speedup >= %gx: OK\n" name bound
         else begin
-          Printf.printf "%s speedup >= 3x: FAILED (%.2fx)\n" name r;
+          Printf.printf "%s speedup >= %gx: FAILED (%.2fx)\n" name bound r;
           exit 1
         end)
       engine_rows;
@@ -1049,15 +1062,6 @@ let ablation_tests =
       ("n", Value.Present (Value.Float (1000. +. float_of_int tick))) ]
   in
   [ (let fda, _ = Engine_ascet.reengineer () in
-     let inputs tick =
-       List.map
-         (fun (n, v) -> (n, Value.Present v))
-         (Engine_ascet.drive_inputs tick)
-     in
-     let compiled = Sim.compile fda.Model.model_root in
-     Test.make ~name:"ablation/engine-sim-compiled-500t"
-       (stage (fun () -> Sim.run_compiled ~ticks:500 ~inputs compiled)));
-    (let fda, _ = Engine_ascet.reengineer () in
      let inputs tick =
        List.map
          (fun (n, v) -> (n, Value.Present v))

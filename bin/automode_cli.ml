@@ -64,12 +64,24 @@ let or_fail = function
   | Ok x -> x
   | Error msg -> prerr_endline ("error: " ^ msg); exit 1
 
+(* Validation shared by the commands: seed counts, explicit seeds,
+   domain counts, tick counts and horizons must be positive — a
+   zero-seed campaign would trivially "pass" its gate and a zero-tick
+   simulation would print an empty trace, so both are rejected loudly
+   instead. *)
+let validate_positive what v =
+  if v < 1 then begin
+    Printf.eprintf "error: %s must be >= 1 (got %d)\n" what v;
+    exit 1
+  end
+
 (* ------------------------------------------------------------------ *)
 (* Commands                                                           *)
 (* ------------------------------------------------------------------ *)
 
 let simulate_cmd =
   let run name ticks csv =
+    validate_positive "--ticks" ticks;
     let comp = or_fail (find_model name) in
     let trace =
       match List.assoc_opt name bundled_traces with
@@ -266,6 +278,7 @@ let save_cmd =
 
 let timeline_cmd =
   let run horizon =
+    validate_positive "--horizon" horizon;
     List.iter
       (fun (ecu, tasks) ->
         if tasks <> [] then begin
@@ -318,16 +331,6 @@ let domains_arg =
                  domains (default 1 = serial).  Verdicts are merged back \
                  in seed order, so the report is identical to a serial \
                  run.")
-
-(* Validation shared by the campaign/profile commands: seed counts,
-   explicit seeds and domain counts must be positive — a zero-seed
-   campaign would trivially "pass" its gate, so it is rejected loudly
-   instead. *)
-let validate_positive what v =
-  if v < 1 then begin
-    Printf.eprintf "error: %s must be >= 1 (got %d)\n" what v;
-    exit 1
-  end
 
 let resolve_seeds seeds count =
   validate_positive "--seeds" count;
@@ -411,6 +414,7 @@ let robustness_cmd =
   let run seeds count csv no_shrink engine horizon domains out metrics
       trace_out cache_dir =
     validate_positive "--domains" domains;
+    validate_positive "--horizon" horizon;
     let seeds = resolve_seeds seeds count in
     let cache = make_cache cache_dir in
     (* CI gate: any failing scenario makes the run exit non-zero *)
@@ -458,6 +462,7 @@ let guard_cmd =
   let run seeds count no_shrink engine horizon domains out metrics trace_out
       cache_dir =
     validate_positive "--domains" domains;
+    validate_positive "--horizon" horizon;
     let seeds = resolve_seeds seeds count in
     let cache = make_cache cache_dir in
     (* only the guarded side gates: the unguarded run is the contrast *)
@@ -492,6 +497,7 @@ let redund_cmd =
   let run seeds count no_shrink horizon domains out metrics trace_out
       cache_dir =
     validate_positive "--domains" domains;
+    validate_positive "--horizon" horizon;
     let seeds = resolve_seeds seeds count in
     let cache = make_cache cache_dir in
     (* the protected configurations gate; the simplex and single-channel
@@ -596,12 +602,9 @@ let litmus_cmd =
   let resolve_engine = function
     | "indexed" -> B.Indexed
     | "interpreted" -> B.Interpreted
-    | "compiled" -> B.Compiled
     | e ->
       Printf.eprintf
-        "error: unknown engine %s (available: indexed, interpreted, \
-         compiled)\n"
-        e;
+        "error: unknown engine %s (available: indexed, interpreted)\n" e;
       exit 1
   in
   let run bound max_scenarios engine domains replay suite_out out metrics
@@ -660,10 +663,10 @@ let litmus_cmd =
   let engine_arg =
     Arg.(value & opt string "indexed"
          & info [ "sim" ] ~docv:"ENGINE"
-             ~doc:"Simulation engine: $(b,indexed) (default), \
-                   $(b,interpreted) or $(b,compiled).  All three yield \
-                   byte-identical reports; CI replays the suite under two \
-                   of them to pin that.")
+             ~doc:"Simulation engine: $(b,indexed) (default) or the \
+                   $(b,interpreted) reference oracle.  Both yield \
+                   byte-identical reports; CI replays the suite under \
+                   each to pin that.")
   in
   let replay_arg =
     Arg.(value & opt (some string) None
@@ -729,6 +732,7 @@ let profile_cmd =
   in
   let run name ticks domains metrics trace_out =
     validate_positive "--domains" domains;
+    validate_positive "--ticks" ticks;
     let _, _, action =
       match
         List.find_opt (fun (n, _, _) -> String.equal n name) targets

@@ -55,43 +55,19 @@ val constant_inputs : (string * Value.t) list -> input_fn
 val no_inputs : input_fn
 (** The empty stimulus. *)
 
-(** {1 Compiled simulation}
-
-    {!step} resolves channels and components by name on every tick; for
-    long runs, {!compile} precomputes the routing (driving channel per
-    input port, evaluation order, boundary collection) once.  Compiled
-    and interpreted simulation produce identical traces (asserted in the
-    test-suite); the speedup is measured by the bench harness. *)
-
-type compiled
-
-val compile : Model.component -> compiled
-(** @raise Sim_error on instantaneous loops (as {!init}). *)
-
-val compiled_step :
-  ?schedule:Clock.schedule -> tick:int ->
-  inputs:(string -> Value.message) -> compiled -> comp_state ->
-  (string * Value.message) list * comp_state
-
-val compiled_init : compiled -> comp_state
-
-val run_compiled :
-  ?schedule:Clock.schedule -> ticks:int -> inputs:input_fn -> compiled ->
-  Trace.t
-(** Like {!run}, over a precompiled component. *)
-
 (** {1 Indexed simulation}
 
-    A second lowering stage on top of {!compile}: components, ports and
-    channels are numbered at index time, sub-states, delay registers and
-    per-tick outputs live in pre-sized arrays mutated in place, and a
-    driver lookup is an array read instead of a per-port assoc scan.
-    An {!indexed} value is immutable — all run-time mutation happens
-    inside the {!ix_state} created fresh by each {!indexed_init} call,
-    so one indexed component can drive many concurrent simulations
-    (including from different domains).  All three engines produce
-    identical traces (asserted in the test-suite); the speedup is
-    measured by the E17 bench section. *)
+    {!run} resolves channels and components by name on every tick; for
+    long runs and campaigns, {!index} resolves the routing (driving
+    channel per input port, evaluation order, boundary collection) once
+    and numbers components, ports and channels.  Sub-states, delay
+    registers and per-tick outputs then live in pre-sized arrays mutated
+    in place, and a driver lookup is an array read.  An {!indexed} value
+    is immutable — every {!run_indexed} call creates fresh run-time
+    state — so one indexed component can drive many concurrent
+    simulations, including from different domains.  Indexed and
+    interpreted simulation produce identical traces (asserted in the
+    test-suite); the speedup is measured by the E17 bench section. *)
 
 type indexed
 
@@ -99,29 +75,16 @@ val index : Model.component -> indexed
 (** @raise Sim_error on instantaneous loops (as {!init}) and on a channel
     whose source is an undeclared component. *)
 
-type ix_state
-(** Mutable run-time state of one indexed simulation: pre-sized slot,
-    register and sub-state arrays, updated in place each tick. *)
-
-val indexed_init : indexed -> ix_state
-(** A fresh, independent state (arrays are not shared between calls). *)
-
-val indexed_step :
-  ?schedule:Clock.schedule -> tick:int ->
-  inputs:(string -> Value.message) -> indexed -> ix_state ->
-  (string * Value.message) list
-(** One synchronous step, mutating [ix_state] in place.  Reports every
-    declared output port, absent if not computed — exactly as {!step}. *)
-
 val run_indexed :
   ?schedule:Clock.schedule -> ticks:int -> inputs:input_fn -> indexed ->
   Trace.t
-(** Like {!run}, over an indexed component (one fresh {!indexed_init}
-    per call). *)
+(** Like {!run}, over an indexed component: the trace records every
+    declared input and output port, absent where nothing was offered or
+    computed. *)
 
 (** {1 Batched simulation}
 
-    A third lowering stage on top of {!index}: one compiled net stepped
+    A lowering stage on top of {!index}: one indexed net stepped
     across [instances] independent instances at once (a "fleet"), each
     with its own stimulus, clock schedule and (through the stimulus)
     fault seed.

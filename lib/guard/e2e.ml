@@ -26,7 +26,7 @@ let max_detectable_gap p = alive_modulus p - 1
 (* Deterministic checksum over (data id, alive counter, payload): the
    stable textual form of the value feeds OCaml's structural hash, which
    is fixed by the language definition — same inputs, same checksum, on
-   both simulation engines and across runs. *)
+   every simulation engine and across runs. *)
 let crc p ~counter v =
   Hashtbl.hash (p.data_id, counter land (alive_modulus p - 1), Value.to_string v)
   land ((1 lsl p.crc_bits) - 1)

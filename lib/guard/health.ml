@@ -38,7 +38,8 @@ let config ?(suspect_after = 2) ?(timeout_after = 8) ?(invalid_after = 2)
     policy; startup }
 
 (* The qualification state machine, as a plain STD so it exists at FDA
-   level and flows through both simulation engines unchanged.
+   level and runs unchanged on the interpreted oracle and the
+   indexed/batched engine.
 
    Debounce counters live in extended state variables: [miss] counts
    consecutive absent ticks, [bad] consecutive implausible samples,

@@ -3,7 +3,7 @@
     substitute / last-known-good policies.
 
     The qualifier is a plain {!Automode_core.Model.std} (FDA-level
-    model element), so it flows through the interpreted and compiled
+    model element), so it flows through the interpreted and indexed
     simulation engines unchanged, and {!protect} is a reusable network
     transform wrapping any component's input flows.
 

@@ -1,9 +1,9 @@
 open Automode_core
 open Automode_robust
 
-type engine = Interpreted | Compiled | Indexed
+type engine = Interpreted | Indexed
 
-(* The three engines behind one closure type: a compiled form is forced
+(* Both engines behind one closure type: the indexed form is forced
    lazily (and shared across a domain fan-out via [prepare]), and every
    run creates fresh run-time state, so one spec can drive many
    concurrent simulations. *)
@@ -34,11 +34,6 @@ let make_runner engine comp ixc =
   | Interpreted ->
     lazy
       (fun ~schedule ~ticks ~inputs -> Sim.run ~schedule ~ticks ~inputs comp)
-  | Compiled ->
-    lazy
-      (let compiled = Sim.compile comp in
-       fun ~schedule ~ticks ~inputs ->
-         Sim.run_compiled ~schedule ~ticks ~inputs compiled)
   | Indexed ->
     lazy
       (let indexed = Lazy.force ixc in
@@ -130,7 +125,7 @@ let trace_ops t ~seed ~ops ~ticks =
 
 (* Traces of many fault lists of one spec, trace i belonging to
    faultss.(i): the Indexed engine runs them through the campaign
-   executor, the other engines (kept as comparison oracles) loop. *)
+   executor, the interpreted oracle loops. *)
 let traces_of ?(domains = 1) ?share t ~ticks faultss =
   match t.engine with
   | Indexed ->
@@ -140,8 +135,8 @@ let traces_of ?(domains = 1) ?share t ~ticks faultss =
          (fun faults ->
            (faults, Fault.apply faults t.inputs, schedule_of t faults))
          faultss)
-  | Interpreted | Compiled ->
-    (* force the compiled form before fanning out *)
+  | Interpreted ->
+    (* force the runner before fanning out *)
     prepare t;
     Array.of_list
       (Parallel.map ~domains

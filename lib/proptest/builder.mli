@@ -19,7 +19,7 @@
 open Automode_core
 open Automode_robust
 
-type engine = Interpreted | Compiled | Indexed
+type engine = Interpreted | Indexed
 
 type t
 (** A test specification (immutable; the [with_*] combinators return
@@ -68,9 +68,10 @@ val with_schedule : Clock.schedule -> t -> t
     fires); {!with_event} wirings fire on top of it. *)
 
 val with_engine : engine -> t -> t
-(** Choose the simulation engine (default {!Indexed}); all three
-    produce identical traces, so campaigns and shrunk counterexamples
-    are engine-independent — pinned in the test-suite. *)
+(** Choose the simulation engine (default {!Indexed});
+    {!Interpreted} is the reference oracle.  Both produce identical
+    traces, so campaigns and shrunk counterexamples are
+    engine-independent — pinned in the test-suite. *)
 
 val with_iterations : int -> t -> t
 (** Generated sequences per seed (default 1).
@@ -95,8 +96,9 @@ val generators : t -> (string * int) list
 (** Declared generator (name, weight) pairs, in declaration order. *)
 
 val prepare : t -> unit
-(** Force the engine compilation now, so parallel sweeps share the
-    immutable compiled form instead of racing on the lazy. *)
+(** Force the engine's lazy runner (for {!Indexed}, the
+    {!Automode_core.Sim.index} call) now, so parallel sweeps share the
+    immutable form instead of racing on the lazy. *)
 
 val expand : t -> seed:int -> iteration:int -> Op.t list
 (** The operation sequence of (seed, iteration) — pure
@@ -132,9 +134,9 @@ val trace_cases :
     run through {!Automode_robust.Exec.traces}, which picks the plan
     (solo, batched, prefix-shared) itself and shards it over
     [?domains]; [~share:false] (default [true]) is its looped
-    reference.  The other engines loop through {!trace_ops}.  All paths
-    yield byte-identical traces — this is the litmus synthesis fan-out
-    primitive. *)
+    reference.  The {!Interpreted} oracle loops through {!trace_ops}.
+    All paths yield byte-identical traces — this is the litmus synthesis
+    fan-out primitive. *)
 
 val eval_monitors : t -> Trace.t -> (string * Monitor.verdict) list
 (** Judge an already-recorded trace against every attached monitor, in

@@ -3,7 +3,8 @@
     A voter merges the output streams of N replicas of one cluster into
     a single stream plus an agreement verdict.  Voters are plain
     expression components ({!Automode_core.Model.B_exprs}), so they run
-    unchanged on the interpreted and compiled engines, and they are
+    unchanged on the interpreted oracle and the indexed/batched engine
+    (where they stage into row operations), and they are
     {e presence-aware}: a crashed (fail-silent) replica contributes an
     absent stream and is simply outvoted — the situation the redundancy
     subsystem exists for.

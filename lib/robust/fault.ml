@@ -168,7 +168,7 @@ let noisy ~amplitude ~seed ~flow ~tick = function
    function of the tick: results are memoized and history-dependent
    kinds (stuck-at-last) force the ticks before them in order, so the
    transformation is deterministic no matter how the simulator (or two
-   simulators, compiled and interpreted) query it. *)
+   simulators, indexed and interpreted) query it. *)
 let apply_one fault inputs =
   let cache : (int, (string * Value.message) list) Hashtbl.t =
     Hashtbl.create 64

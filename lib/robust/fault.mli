@@ -5,7 +5,7 @@
     Faults are composable (a list applies left to right) and fully
     deterministic: activation and noise are drawn from PRNGs seeded per
     (seed, tick, flow), so the same fault list replays the same faulty
-    stimulus bit-for-bit — on the interpreted and the compiled engine
+    stimulus bit-for-bit — on the interpreted and the indexed engine
     alike. *)
 
 open Automode_core

@@ -3,9 +3,9 @@
     A thin wrapper over OCaml 5 domains: work items are distributed
     dynamically over a fixed-size pool, results are returned in input
     order.  Callers are responsible for [f] being safe to run from
-    several domains at once (the simulation engines are: an indexed or
-    compiled component is immutable, and all run-time state is created
-    per call). *)
+    several domains at once (the simulation engines are: an indexed
+    component is immutable, and all run-time state is created per
+    call). *)
 
 val map : domains:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map ~domains f items] is observably [List.map f items], computed by

@@ -276,20 +276,6 @@ let test_engine_ascet_equivalence () =
     Alcotest.failf "divergence at %d on %s: impl=%s model=%s" tick flow
       (Value.message_to_string l) (Value.message_to_string r)
 
-let test_engine_ascet_compiled_sim () =
-  let fda, _ = Engine_ascet.reengineer () in
-  let inputs tick =
-    List.map
-      (fun (n, v) -> (n, Value.Present v))
-      (Engine_ascet.drive_inputs tick)
-  in
-  let t1 = Sim.run ~ticks:300 ~inputs fda.Model.model_root in
-  let t2 =
-    Sim.run_compiled ~ticks:300 ~inputs (Sim.compile fda.Model.model_root)
-  in
-  checkb "compiled engine model identical" true
-    (Trace.equal_on ~flows:Engine_ascet.observed t1 t2)
-
 let test_engine_ascet_throttle_mtd () =
   let fda, _ = Engine_ascet.reengineer () in
   let net =
@@ -412,8 +398,7 @@ let () =
           Alcotest.test_case "central emitter" `Quick test_engine_ascet_central_emitter;
           Alcotest.test_case "report" `Quick test_engine_ascet_reengineering_report;
           Alcotest.test_case "equivalence" `Slow test_engine_ascet_equivalence;
-          Alcotest.test_case "fig8 MTD extracted" `Quick test_engine_ascet_throttle_mtd;
-          Alcotest.test_case "compiled sim identical" `Quick test_engine_ascet_compiled_sim ] );
+          Alcotest.test_case "fig8 MTD extracted" `Quick test_engine_ascet_throttle_mtd ] );
       ( "blackbox-body",
         [ Alcotest.test_case "matrix" `Quick test_body_matrix ] );
       ( "central-locking",

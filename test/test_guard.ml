@@ -369,24 +369,6 @@ let test_guarded_transparency () =
   checks "byte-identical on the baseline flows" (Trace.to_string base)
     (Trace.to_string (Trace.restrict guarded (Trace.flows base)))
 
-let test_guarded_compiled_matches () =
-  let ticks = Robustness.lock_ticks in
-  let schedule = Robustness.lock_schedule in
-  let interp =
-    Sim.run ~schedule ~ticks ~inputs:Robustness.lock_stimulus Guarded.component
-  in
-  let compiled =
-    Sim.run_compiled ~schedule ~ticks ~inputs:Robustness.lock_stimulus
-      (Sim.compile Guarded.component)
-  in
-  let outs =
-    List.map
-      (fun (prt : Model.port) -> prt.Model.port_name)
-      (Model.output_ports Guarded.component)
-  in
-  checkb "compiled engine agrees on every output" true
-    (Trace.equal_on ~flows:outs interp compiled)
-
 let comparison_seeds = [ 1; 2; 3; 4; 5 ]
 
 let comparison = Guarded.door_lock_comparison ~shrink:false ~seeds:comparison_seeds ()
@@ -537,8 +519,6 @@ let () =
             test_codegen_e2e_attributes ] );
       ( "guarded-casestudy",
         [ Alcotest.test_case "transparency" `Quick test_guarded_transparency;
-          Alcotest.test_case "compiled matches" `Quick
-            test_guarded_compiled_matches;
           Alcotest.test_case "campaign contrast" `Quick
             test_guarded_campaign_contrast;
           Alcotest.test_case "campaign deterministic" `Quick

@@ -102,16 +102,25 @@ let test_noop_identity_guarded () =
   checkb "ticks counted" true
     (Obs.Metrics.value m "sim.ticks" = Some 64)
 
+(* The compiled fast paths — the indexed engine and a batch of it —
+   under a sink: traces stay byte-identical to the unobserved run. *)
 let test_compiled_identity () =
-  let compiled = Sim.compile Guarded.component in
-  let run () =
-    Sim.run_compiled ~ticks:64 ~inputs:Robustness.lock_stimulus compiled
+  let ix = Sim.index Guarded.component in
+  let indexed () =
+    Sim.run_indexed ~ticks:64 ~inputs:Robustness.lock_stimulus ix
   in
-  let plain = run () in
+  let batched () =
+    let b = Sim.batch ~instances:2 ix in
+    Sim.run_batch ~ticks:64 ~inputs:(fun _ -> Robustness.lock_stimulus) b;
+    Sim.batch_trace b ~instance:1
+  in
+  let plain = indexed () in
   let m = Obs.Metrics.create () in
-  let observed = Obs.Probe.with_sink (Obs.Probe.standard m) run in
-  checkb "compiled trace unchanged under sink" true
-    (Trace.equal plain observed)
+  let under_sink run = Obs.Probe.with_sink (Obs.Probe.standard m) run in
+  checkb "indexed trace unchanged under sink" true
+    (Trace.equal plain (under_sink indexed));
+  checkb "batched trace unchanged under sink" true
+    (Trace.equal plain (under_sink batched))
 
 let test_probe_noop_without_sink () =
   checkb "inactive by default" false (Obs.Probe.active ());

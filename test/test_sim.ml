@@ -745,108 +745,38 @@ let test_stdblocks_debounce () =
          present_b true; present_b true; present_b true ])
 
 (* ------------------------------------------------------------------ *)
-(* Compiled simulation                                                *)
-(* ------------------------------------------------------------------ *)
-
-let assert_compiled_matches name comp ~ticks ~inputs ~flows =
-  let t1 = Sim.run ~ticks ~inputs comp in
-  let t2 = Sim.run_compiled ~ticks ~inputs (Sim.compile comp) in
-  checkb (name ^ ": compiled trace equals interpreted") true
-    (Trace.equal_on ~flows t1 t2)
-
-let test_compiled_adder () =
-  assert_compiled_matches "adder" adder ~ticks:16
-    ~inputs:(fun t -> [ ("a", present_i t); ("b", present_i (2 * t)) ])
-    ~flows:[ "sum" ]
-
-let test_compiled_counter_feedback () =
-  assert_compiled_matches "counter" counter ~ticks:16
-    ~inputs:(fun _ -> [ ("step", present_i 1) ])
-    ~flows:[ "count" ]
-
-let test_compiled_ssd_delays () =
-  assert_compiled_matches "ssd pipeline" ssd_pipeline ~ticks:12
-    ~inputs:(fun t -> [ ("src", present_i t) ])
-    ~flows:[ "dst" ]
-
-let test_compiled_mtd () =
-  assert_compiled_matches "throttle mtd" throttle_comp ~ticks:12
-    ~inputs:(fun t ->
-      [ ("cranking", present_b (t >= 4)); ("desired", present_f 10.);
-        ("current", present_f 2.) ])
-    ~flows:[ "rate" ]
-
-let test_compiled_faulted_inputs () =
-  (* trace identity must survive a faulted stimulus: history-dependent
-     fault transforms (memoized per tick) are queried by two different
-     engines and still have to produce the same trace *)
-  let open Automode_robust in
-  let comp = Automode_casestudy.Door_lock.component in
-  let faults =
-    [ Fault.dropout ~flow:"FZG_V"
-        (Fault.Random_ticks { probability = 0.3; seed = 5 });
-      Fault.spike ~flow:"CRSH"
-        ~value:(Value.Enum ("CrashStatus", "Crash"))
-        (Fault.Random_ticks { probability = 0.1; seed = 6 });
-      Fault.stuck_at_last ~flow:"FZG_V"
-        (Fault.Window { from_tick = 12; until_tick = 20 }) ]
-  in
-  let schedule =
-    Fault.schedule_of_faults
-      ~base:(fun name tick -> String.equal name "crash" && tick = 6)
-      (List.filter (fun f -> String.equal (Fault.flow f) "CRSH") faults)
-      ~event:"crash"
-  in
-  let ticks = 32 in
-  let inputs =
-    Fault.apply faults Automode_casestudy.Door_lock.crash_scenario
-  in
-  let t1 = Sim.run ~schedule ~ticks ~inputs comp in
-  let t2 = Sim.run_compiled ~schedule ~ticks ~inputs (Sim.compile comp) in
-  checkb "faulted compiled trace equals interpreted" true (Trace.equal t1 t2);
-  let t2i = Sim.run_indexed ~schedule ~ticks ~inputs (Sim.index comp) in
-  checkb "faulted indexed trace equals interpreted" true (Trace.equal t1 t2i);
-  (* and a fresh fault application replays the identical trace *)
-  let inputs' =
-    Fault.apply faults Automode_casestudy.Door_lock.crash_scenario
-  in
-  let t3 = Sim.run ~schedule ~ticks ~inputs:inputs' comp in
-  checkb "fault replay is identical" true (Trace.equal t1 t3)
-
-let test_compiled_rejects_loops () =
-  let comp = Dfd.of_network (loop_net ~delayed:false) in
-  checkb "compile raises on instantaneous loop" true
-    (try ignore (Sim.compile comp); false with Sim.Sim_error _ -> true)
-
-let test_compiled_late_inputs () =
-  (* regression: inputs first offered at tick >= 4 used to vanish from
-     the compiled trace's flow set, because the flows were sampled from
-     the first four stimulus ticks; they now come from the declared
-     ports recorded at compile time *)
-  let inputs tick =
-    if tick < 6 then []
-    else [ ("a", present_i 1); ("b", present_i (tick - 6)) ]
-  in
-  let t1 = Sim.run ~ticks:12 ~inputs adder in
-  let t2 = Sim.run_compiled ~ticks:12 ~inputs (Sim.compile adder) in
-  checkb "late input flows recorded" true
-    (List.mem "a" (Trace.flows t2) && List.mem "b" (Trace.flows t2));
-  checkb "late input trace equals interpreted" true (Trace.equal t1 t2)
-
-(* ------------------------------------------------------------------ *)
 (* Indexed simulation                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* Full-trace identity across all three engines: interpreted =
-   closure-compiled = indexed (same flows, same messages everywhere). *)
+(* Full-trace identity against the interpreted oracle (same flows, same
+   messages everywhere). *)
 let assert_engines_match ?schedule name comp ~ticks ~inputs =
   let t1 = Sim.run ?schedule ~ticks ~inputs comp in
-  let t2 = Sim.run_compiled ?schedule ~ticks ~inputs (Sim.compile comp) in
-  let t3 = Sim.run_indexed ?schedule ~ticks ~inputs (Sim.index comp) in
-  checkb (name ^ ": compiled trace equals interpreted") true
-    (Trace.equal t1 t2);
+  let t2 = Sim.run_indexed ?schedule ~ticks ~inputs (Sim.index comp) in
   checkb (name ^ ": indexed trace equals interpreted") true
-    (Trace.equal t1 t3)
+    (Trace.equal t1 t2)
+
+(* The standard block library under a longer, non-monotone stimulus:
+   every stateful block (accumulator, rate memory, hysteresis band,
+   previous sample, clocked hold, debounce counter) must step the same
+   way in the indexed engine as in the oracle. *)
+let test_indexed_stdblocks () =
+  let wave t = float_of_int ((t * 7) mod 11) in
+  let float_in t = [ ("in", present_f (wave t)) ] in
+  List.iter
+    (fun (name, comp, inputs) ->
+      assert_engines_match name comp ~ticks:40 ~inputs)
+    [ ("integrator", Stdblocks.integrator ~name:"I" (), float_in);
+      ("rate limiter", Stdblocks.rate_limiter ~name:"RL" ~max_step:1.5, float_in);
+      ("hysteresis", Stdblocks.hysteresis ~name:"H" ~low:2. ~high:8., float_in);
+      ("derivative", Stdblocks.derivative ~name:"D", float_in);
+      ( "sample hold",
+        Stdblocks.sample_hold ~name:"SH" ~clock:(Clock.every 3 Clock.Base)
+          ~init:(Value.Int 0),
+        fun t -> [ ("in", present_i t) ] );
+      ( "debounce",
+        Stdblocks.debounce ~name:"DB" ~ticks:2,
+        fun t -> [ ("in", present_b (t mod 7 < 4)) ] ) ]
 
 let test_indexed_fixtures () =
   assert_engines_match "adder" adder ~ticks:16
@@ -882,16 +812,20 @@ let test_indexed_engine_fda () =
       (fun (n, v) -> (n, Value.Present v))
       (Automode_casestudy.Engine_ascet.drive_inputs tick)
   in
-  assert_engines_match "engine fda (E8)" fda.Model.model_root ~ticks:96 ~inputs
+  assert_engines_match "engine fda (E8)" fda.Model.model_root ~ticks:300
+    ~inputs
 
 let test_indexed_guarded () =
+  let module R = Automode_casestudy.Robustness in
   assert_engines_match "guarded door lock (E14)"
-    Automode_casestudy.Guarded.component ~ticks:64
-    ~inputs:Automode_casestudy.Robustness.lock_stimulus
+    Automode_casestudy.Guarded.component ~ticks:64 ~inputs:R.lock_stimulus;
+  assert_engines_match "guarded door lock (E14), crash schedule"
+    ~schedule:R.lock_schedule Automode_casestudy.Guarded.component
+    ~ticks:R.lock_ticks ~inputs:R.lock_stimulus
 
 (* An SSD network whose sub-component is an MTD with a "mode" output
    port: exercises delayed sibling channels feeding/reading a
-   mode-switching component in all three engines. *)
+   mode-switching component in every engine. *)
 let mtd_under_ssd =
   let mode_ty = Mtd.mode_enum throttle_mtd in
   let mtd_comp =
@@ -938,23 +872,82 @@ let test_indexed_mtd_under_ssd () =
         ("current", present_f (float_of_int t)) ])
 
 let test_indexed_reentrant () =
-  (* one indexed value, two independent states: advancing one must not
-     disturb the other (fresh arrays per indexed_init) *)
+  (* one indexed value driven from two domains at once: every run owns
+     fresh state, so the concurrent traces equal the serial ones *)
   let ix = Sim.index counter in
-  let st1 = Sim.indexed_init ix in
-  let st2 = Sim.indexed_init ix in
-  let inputs port =
-    if String.equal port "step" then present_i 1 else Value.Absent
+  let run step =
+    Sim.run_indexed ~ticks:200
+      ~inputs:(fun _ -> [ ("step", present_i step) ])
+      ix
   in
-  for tick = 0 to 3 do
-    ignore (Sim.indexed_step ~tick ~inputs ix st1)
-  done;
-  let o2 = Sim.indexed_step ~tick:0 ~inputs ix st2 in
-  checkb "fresh state unaffected by sibling state" true
-    (Value.equal_message (List.assoc "count" o2) (present_i 1));
-  let o1 = Sim.indexed_step ~tick:4 ~inputs ix st1 in
-  checkb "advanced state keeps its own registers" true
-    (Value.equal_message (List.assoc "count" o1) (present_i 5))
+  let serial = List.map run [ 1; 3 ] in
+  let concurrent =
+    List.map Domain.join
+      (List.map (fun step -> Domain.spawn (fun () -> run step)) [ 1; 3 ])
+  in
+  List.iter2
+    (fun a b ->
+      checkb "concurrent trace equals serial" true (Trace.equal a b))
+    serial concurrent;
+  checkb "runs keep their own registers" false
+    (Trace.equal (List.nth serial 0) (List.nth serial 1))
+
+let test_indexed_faulted_inputs () =
+  (* trace identity must survive a faulted stimulus: history-dependent
+     fault transforms (memoized per tick) are queried by two different
+     engines and still have to produce the same trace *)
+  let open Automode_robust in
+  let comp = Automode_casestudy.Door_lock.component in
+  let faults =
+    [ Fault.dropout ~flow:"FZG_V"
+        (Fault.Random_ticks { probability = 0.3; seed = 5 });
+      Fault.spike ~flow:"CRSH"
+        ~value:(Value.Enum ("CrashStatus", "Crash"))
+        (Fault.Random_ticks { probability = 0.1; seed = 6 });
+      Fault.stuck_at_last ~flow:"FZG_V"
+        (Fault.Window { from_tick = 12; until_tick = 20 }) ]
+  in
+  let schedule =
+    Fault.schedule_of_faults
+      ~base:(fun name tick -> String.equal name "crash" && tick = 6)
+      (List.filter (fun f -> String.equal (Fault.flow f) "CRSH") faults)
+      ~event:"crash"
+  in
+  let ticks = 32 in
+  let inputs =
+    Fault.apply faults Automode_casestudy.Door_lock.crash_scenario
+  in
+  let t1 = Sim.run ~schedule ~ticks ~inputs comp in
+  let t2 = Sim.run_indexed ~schedule ~ticks ~inputs (Sim.index comp) in
+  checkb "faulted indexed trace equals interpreted" true (Trace.equal t1 t2);
+  (* and a fresh fault application replays the identical trace *)
+  let inputs' =
+    Fault.apply faults Automode_casestudy.Door_lock.crash_scenario
+  in
+  let t3 = Sim.run ~schedule ~ticks ~inputs:inputs' comp in
+  checkb "fault replay is identical" true (Trace.equal t1 t3)
+
+let test_indexed_late_inputs () =
+  (* declared input ports first offered at tick >= 4 must still appear
+     as trace flows (sampling the first stimulus ticks for the flow set
+     once dropped them), on the indexed and the batched engine alike *)
+  let inputs tick =
+    if tick < 6 then []
+    else [ ("a", present_i 1); ("b", present_i (tick - 6)) ]
+  in
+  let t1 = Sim.run ~ticks:12 ~inputs adder in
+  let ix = Sim.index adder in
+  let t2 = Sim.run_indexed ~ticks:12 ~inputs ix in
+  let b = Sim.batch ~instances:2 ix in
+  Sim.run_batch ~ticks:12 ~inputs:(fun _ -> inputs) b;
+  let t3 = Sim.batch_trace b ~instance:1 in
+  List.iter
+    (fun (engine, t) ->
+      checkb (engine ^ ": late input flows recorded") true
+        (List.mem "a" (Trace.flows t) && List.mem "b" (Trace.flows t));
+      checkb (engine ^ ": late input trace equals interpreted") true
+        (Trace.equal t1 t))
+    [ ("indexed", t2); ("batched", t3) ]
 
 let test_indexed_rejects_loops () =
   let comp = Dfd.of_network (loop_net ~delayed:false) in
@@ -1604,14 +1597,9 @@ let () =
           Alcotest.test_case "derivative" `Quick test_stdblocks_derivative;
           Alcotest.test_case "sample hold" `Quick test_stdblocks_sample_hold;
           Alcotest.test_case "debounce" `Quick test_stdblocks_debounce ] );
-      ( "compiled-sim",
-        [ Alcotest.test_case "adder" `Quick test_compiled_adder;
-          Alcotest.test_case "counter feedback" `Quick test_compiled_counter_feedback;
-          Alcotest.test_case "ssd delays" `Quick test_compiled_ssd_delays;
-          Alcotest.test_case "mtd" `Quick test_compiled_mtd;
-          Alcotest.test_case "faulted inputs" `Quick test_compiled_faulted_inputs;
-          Alcotest.test_case "late inputs" `Quick test_compiled_late_inputs;
-          Alcotest.test_case "rejects loops" `Quick test_compiled_rejects_loops ] );
+      ( "stdblocks-ix",
+        [ Alcotest.test_case "indexed equals interpreted" `Quick
+            test_indexed_stdblocks ] );
       ( "indexed-sim",
         [ Alcotest.test_case "fixtures" `Quick test_indexed_fixtures;
           Alcotest.test_case "random dfds" `Quick test_indexed_random_dfds;
@@ -1620,6 +1608,8 @@ let () =
           Alcotest.test_case "guarded (E14)" `Quick test_indexed_guarded;
           Alcotest.test_case "mtd under ssd" `Quick test_indexed_mtd_under_ssd;
           Alcotest.test_case "re-entrant states" `Quick test_indexed_reentrant;
+          Alcotest.test_case "faulted inputs" `Quick test_indexed_faulted_inputs;
+          Alcotest.test_case "late inputs" `Quick test_indexed_late_inputs;
           Alcotest.test_case "rejects loops" `Quick test_indexed_rejects_loops ] );
       ( "batched",
         [ Alcotest.test_case "fixtures" `Quick test_batch_fixtures;
