@@ -218,13 +218,13 @@ let e16_overhead ~assert_bound () =
       exit 1
     end
 
-(* E17: the indexed engine vs. the interpreted oracle on the same
-   workload, and the domain-parallel campaign sweep vs. serial.  Engine
-   speedups are
-   asserted in full bench mode; the parallel speedup additionally needs
-   actual cores (a single-CPU runner can only lose wall clock to domain
-   overhead, while the byte-identity of the reports holds anywhere and
-   is asserted whenever the section runs). *)
+(* E17: the solo fast path ([run_indexed], a width-1 batch) vs. the
+   interpreted oracle on the same workload, and the domain-parallel
+   campaign sweep vs. serial.  Engine speedups are asserted in full
+   bench mode; the parallel speedup additionally needs actual cores (a
+   single-CPU runner can only lose wall clock to domain overhead, while
+   the byte-identity of the reports holds anywhere and is asserted
+   whenever the section runs). *)
 let e17_speedups ~domains ~assert_bounds () =
   section "E17 | indexed engine + domain-parallel campaign sweeps";
   let reps = 5 in
@@ -533,15 +533,20 @@ let e20_litmus ~assert_bounds () =
     ("litmus/E20-enum-warm-k2", t_warm *. 1e9) ]
 
 (* E21: the struct-of-arrays batched engine vs. looping [run_indexed]
-   over the instance axis.  One batch steps 1000 divergent instances of
-   the 200-node random DFD; the pinned >= 10x instance-ticks/sec ratio
-   and the per-instance trace identity (looped vs batched vs
-   domain-sharded) are asserted whenever the section runs — the ratio
-   compares two measurements from the same process, so it is stable
-   even on noisy CI runners.  Returns (name, ns/run) rows for the JSON
-   dump. *)
+   (one width-1 batch per instance) over the instance axis.  One batch
+   steps 1000 divergent instances of the 200-node random DFD; the pinned
+   instance-ticks/sec ratio and the per-instance trace identity (looped
+   vs batched vs domain-sharded) are asserted whenever the section runs
+   — the ratio compares two measurements from the same process, so it
+   is stable even on noisy CI runners.  The bound was >= 10x while the
+   looped reference ran the per-node indexed stepper; routing it through
+   width-1 batches made that reference 1.038x slower (median
+   change/parent ratio of 20 alternating pairs, 2-core shared VM), so
+   the bound is 10 x 1.038, rounded up: no looser than before.  Returns
+   (name, ns/run) rows for the JSON dump. *)
 let e21_batch ~domains () =
   section "E21 | batched engine: instance axis vs looped run_indexed";
+  let bound = 10.4 in
   let reps = 3 in
   let min_time f =
     let best = ref infinity in
@@ -614,11 +619,12 @@ let e21_batch ~domains () =
     print_endline "batched vs looped trace identity: FAILED";
     exit 1
   end;
-  if ratio_cold >= 10. then
-    print_endline "batched >= 10x instance-ticks/sec (cold): OK"
+  if ratio_cold >= bound then
+    Printf.printf "batched >= %gx instance-ticks/sec (cold): OK\n" bound
   else begin
     Printf.printf
-      "batched >= 10x instance-ticks/sec (cold): FAILED (%.2fx)\n" ratio_cold;
+      "batched >= %gx instance-ticks/sec (cold): FAILED (%.2fx)\n" bound
+      ratio_cold;
     exit 1
   end;
   [ ("core/E21-looped-1000x32", t_loop *. 1e9);

@@ -404,15 +404,14 @@ let run ?(schedule = Clock.no_events) ~ticks ~inputs (comp : Model.component) =
 
 (* The interpreter's routing (driving channel per input port, evaluation
    order, boundary collection) resolved once at index time: every
-   channel, sub-component output and delay register is numbered, so a
-   per-tick driver lookup is an array read instead of a by-name scan and
-   the tick loop mutates pre-sized arrays in place.  All mutable run-time
-   state lives in [ix_state] values created fresh per run; an [indexed]
-   value itself is immutable and can be shared freely, including across
-   domains.
+   channel, sub-component output and delay register is numbered, so the
+   batched kernels below address them as plane rows instead of scanning
+   by name.  An [indexed] value holds no run-time state — every
+   [batch] (and so every [run_indexed] call) allocates its own — and
+   can be shared freely, including across domains.
 
-   Per network and tick the phases mirror the interpreter exactly (the
-   trace-identity tests depend on it):
+   Per network and tick the staged step ([stage_net]) mirrors the
+   interpreter's phases exactly (the trace-identity tests depend on it):
    1. sweep sub-components in evaluation order — instantaneous reads see
       the slots already written this tick, delayed reads the registers
       from last tick;
@@ -462,19 +461,7 @@ and ix_chan = {
   xc_absent : Probe.counter;
 }
 
-type ix_net_state = {
-  x_slots : Value.message array;   (* this tick's sub-component outputs *)
-  x_buffers : Value.message array; (* delay registers, one per channel *)
-  x_bout : Value.message array;    (* this tick's boundary outputs *)
-  x_subs : ix_state array;
-}
-
-and ix_state =
-  | Xst_atomic of { mutable xst : comp_state }
-  | Xst_net of ix_net_state
-
 type indexed = {
-  ix_name : string;
   ix_in_ports : string list;
   ix_out_ports : string list;
   ix_root : ix_node;
@@ -483,6 +470,15 @@ type indexed = {
   ix_out_bounds : int array option;
 }
 
+(* The first boundary output of [n] on [port], or -1 when none drives it. *)
+let bound_index (n : ix_net) port =
+  let bi = ref (-1) in
+  Array.iteri
+    (fun i (b : ix_bound) ->
+      if !bi < 0 && String.equal b.xb_port port then bi := i)
+    n.xn_bounds;
+  !bi
+
 let rec index_behavior ~(ports : Model.port list) (behavior : Model.behavior) :
     ix_node =
   match behavior with
@@ -490,8 +486,9 @@ let rec index_behavior ~(ports : Model.port list) (behavior : Model.behavior) :
   | Model.B_ssd net -> Ix_net (index_network ~ssd:true net)
   | (Model.B_exprs _ | Model.B_std _ | Model.B_mtd _ | Model.B_unspecified)
     as b ->
-    (* atomic behaviors step through the (pure) interpreter — identical
-       semantics by construction, incl. MTD mode history *)
+    (* atomic behaviors are staged per kind by [stage_atomic]: expression
+       blocks into row kernels, STDs into scratch kernels, MTDs onto the
+       (pure) interpreter, which keeps mode history exact *)
     Ix_atomic { xa_ports = ports; xa_behavior = b }
 
 and index_network ~ssd (net : Model.network) : ix_net =
@@ -590,14 +587,6 @@ and index_network ~ssd (net : Model.network) : ix_net =
            | None -> Some { xb_port = ch.ch_dst.ep_port; xb_read = read_of ch })
          net.net_channels)
   in
-  let bound_index (child : ix_net) port =
-    let bi = ref (-1) in
-    Array.iteri
-      (fun i (b : ix_bound) ->
-        if !bi < 0 && String.equal b.xb_port port then bi := i)
-      child.xn_bounds;
-    !bi
-  in
   let subs =
     Array.of_list
       (List.map
@@ -661,156 +650,12 @@ let index (comp : Model.component) : indexed =
   let out_bounds =
     match root with
     | Ix_atomic _ -> None
-    | Ix_net n ->
-      Some
-        (Array.of_list
-           (List.map
-              (fun port ->
-                let bi = ref (-1) in
-                Array.iteri
-                  (fun i (b : ix_bound) ->
-                    if !bi < 0 && String.equal b.xb_port port then bi := i)
-                  n.xn_bounds;
-                !bi)
-              out_ports))
+    | Ix_net n -> Some (Array.of_list (List.map (bound_index n) out_ports))
   in
-  { ix_name = comp.comp_name;
-    ix_in_ports = in_ports;
+  { ix_in_ports = in_ports;
     ix_out_ports = out_ports;
     ix_root = root;
     ix_out_bounds = out_bounds }
-
-let rec ix_init_node (node : ix_node) : ix_state =
-  match node with
-  | Ix_atomic a ->
-    Xst_atomic { xst = init_behavior ~ports:a.xa_ports a.xa_behavior }
-  | Ix_net n ->
-    Xst_net
-      { x_slots = Array.make n.xn_nslots Value.Absent;
-        x_buffers = Array.copy n.xn_buf_init;
-        x_bout = Array.make (Array.length n.xn_bounds) Value.Absent;
-        x_subs = Array.map (fun s -> ix_init_node s.xs_node) n.xn_subs }
-
-(* Atomic nodes return their outputs; network nodes write theirs into
-   their state's [x_bout] array and return []. *)
-let rec ix_step_node ~schedule ~tick ~inputs (node : ix_node)
-    (state : ix_state) : (string * Value.message) list =
-  match node, state with
-  | Ix_atomic a, Xst_atomic st ->
-    let outs, st' =
-      step_behavior ~schedule ~tick ~ports:a.xa_ports ~inputs a.xa_behavior
-        st.xst
-    in
-    st.xst <- st';
-    outs
-  | Ix_net n, Xst_net ns ->
-    ix_step_net ~schedule ~tick ~inputs n ns;
-    []
-  | (Ix_atomic _ | Ix_net _), (Xst_atomic _ | Xst_net _) ->
-    sim_error "indexed behavior/state shape mismatch"
-
-and ix_step_net ~schedule ~tick ~inputs (n : ix_net) (ns : ix_net_state) =
-  let read = function
-    | Rd_boundary port -> inputs port
-    | Rd_slot i -> Array.unsafe_get ns.x_slots i
-    | Rd_buffer i -> Array.unsafe_get ns.x_buffers i
-  in
-  (* 1. sweep *)
-  for i = 0 to Array.length n.xn_subs - 1 do
-    let sub = Array.unsafe_get n.xn_subs i in
-    let sub_state = Array.unsafe_get ns.x_subs i in
-    let drivers = sub.xs_drivers in
-    let ndrv = Array.length drivers in
-    let sub_inputs port =
-      let rec find j =
-        if j >= ndrv then Value.Absent
-        else
-          let p, rd = Array.unsafe_get drivers j in
-          if String.equal p port then read rd else find (j + 1)
-      in
-      find 0
-    in
-    if Probe.active () then begin
-      Probe.hit sub.xs_fire;
-      if Probe.spans_on () then Probe.enter ~tick sub.xs_name
-    end;
-    let outs =
-      ix_step_node ~schedule ~tick ~inputs:sub_inputs sub.xs_node sub_state
-    in
-    if Probe.spans_on () then Probe.exit_ ~tick sub.xs_name;
-    match sub.xs_outs with
-    | Xo_atomic pairs ->
-      Array.iter
-        (fun (port, slot) -> ns.x_slots.(slot) <- lookup_outputs outs port)
-        pairs
-    | Xo_net pairs ->
-      let child_out =
-        match sub_state with
-        | Xst_net c -> c.x_bout
-        | Xst_atomic _ -> sim_error "indexed behavior/state shape mismatch"
-      in
-      Array.iter
-        (fun (bi, slot) ->
-          ns.x_slots.(slot) <-
-            (if bi < 0 then Value.Absent else Array.unsafe_get child_out bi))
-        pairs
-  done;
-  (* 2. boundary outputs (old registers) *)
-  Array.iteri
-    (fun i (b : ix_bound) -> ns.x_bout.(i) <- read b.xb_read)
-    n.xn_bounds;
-  (* 3. refresh delay registers *)
-  let probing = Probe.active () in
-  Array.iter
-    (fun (ch : ix_chan) ->
-      let v = read ch.xc_src in
-      if probing then
-        Probe.hit
-          (match v with
-           | Value.Present _ -> ch.xc_present
-           | Value.Absent -> ch.xc_absent);
-      ns.x_buffers.(ch.xc_buf) <- v)
-    n.xn_chans
-
-(* One root step: every declared output port, absent if not computed. *)
-let ix_step_root ~schedule ~tick ~inputs (ix : indexed) state =
-  let outs = ix_step_node ~schedule ~tick ~inputs ix.ix_root state in
-  match ix.ix_out_bounds, state with
-  | Some bounds, Xst_net ns ->
-    List.mapi
-      (fun i port ->
-        let bi = bounds.(i) in
-        (port, if bi < 0 then Value.Absent else ns.x_bout.(bi)))
-      ix.ix_out_ports
-  | None, _ ->
-    List.map (fun port -> (port, lookup_outputs outs port)) ix.ix_out_ports
-  | Some _, Xst_atomic _ -> sim_error "indexed behavior/state shape mismatch"
-
-let run_indexed ?(schedule = Clock.no_events) ~ticks ~inputs (ix : indexed) =
-  let in_names = ix.ix_in_ports in
-  let state = ix_init_node ix.ix_root in
-  let rec go tick trace =
-    if tick >= ticks then trace
-    else begin
-      let offered = inputs tick in
-      let input_fn port =
-        match List.assoc_opt port offered with
-        | Some msg -> msg
-        | None -> Value.Absent
-      in
-      if Probe.active () then begin
-        Probe.hit sim_ticks;
-        if Probe.spans_on () then Probe.enter ~tick ~cat:"tick" "tick"
-      end;
-      let outs = ix_step_root ~schedule ~tick ~inputs:input_fn ix state in
-      if Probe.spans_on () then Probe.exit_ ~tick ~cat:"tick" "tick";
-      (* rows are built in flow order (inputs then declared outputs), so
-         the per-flow projection of Trace.record is unnecessary *)
-      let row = List.map (fun port -> (port, input_fn port)) in_names @ outs in
-      go (tick + 1) (Trace.record_ordered trace row)
-    end
-  in
-  go 0 (Trace.make ~flows:(in_names @ ix.ix_out_ports))
 
 (* ------------------------------------------------------------------ *)
 (* Batched simulation                                                 *)
@@ -829,8 +674,9 @@ let run_indexed ?(schedule = Clock.no_events) ~ticks ~inputs (ix : indexed) =
    (bool/int/float) paths.  Enum/tuple values and rarely-taken type
    paths fall back to the exact {!Value} operations, and MTD behaviors
    fall back to the per-instance interpreter — semantics are identical
-   to {!run_indexed} by construction and asserted per instance by the
-   test-suite and the E21 bench.
+   to the interpreter's ({!run}) by construction and asserted per
+   instance by the test-suite.  A width-1 batch is also the solo path:
+   [run_indexed] is one.
 
    Value encoding: a plane stores a message as a tag byte plus three
    payload lanes (native [int array] for bool/int — exact 63-bit ints —
@@ -1337,7 +1183,7 @@ let reg_alloc ~stride ~resets init =
   reg_plane_site resets ~stride p 1;
   (p, 0)
 
-(* First matching driver wins, as the indexed engine's linear scan. *)
+(* First matching driver wins, as in the interpreter's by-name lookup. *)
 let resolve_of (drivers : (string * brow) array) name =
   let n = Array.length drivers in
   let rec find j =
@@ -1355,9 +1201,9 @@ let resolve_of (drivers : (string * brow) array) name =
    (instance axis innermost, branch-light) instead of a per-instance
    kernel call.  Each node's result lives in a one-row plane; [Var],
    [Const] and [Current] results are aliases, so reads cost nothing.
-   This is what makes the batched engine an order of magnitude faster
-   than looping [run_indexed]: the per-node interpretive overhead
-   (closure dispatch, scratch traffic) is amortized over the range. *)
+   This is what makes a wide batch an order of magnitude faster than
+   looping width-1 runs: the per-node interpretive overhead (closure
+   dispatch, scratch traffic) is amortized over the range. *)
 
 let[@inline] tag_at p i = Bigarray.Array1.unsafe_get p.bp_tag i
 let[@inline] set_absent p i = Bigarray.Array1.unsafe_set p.bp_tag i tag_absent
@@ -2103,7 +1949,6 @@ let rec stage_net ~stride ~resets ~(boundary : string -> brow) (n : ix_net) :
 (* ---------------- Batch compile and drive ------------------------- *)
 
 type batch = {
-  bb_ix : indexed;
   bb_instances : int;
   bb_nflows : int;
   bb_in_rows : int array; (* per declared input port, its row in bb_ins *)
@@ -2204,8 +2049,7 @@ let batch ~instances (ix : indexed) : batch =
   let reset () = List.iter (fun f -> f ()) rs in
   reset ();
   let empty = Trace.make ~flows:(ix.ix_in_ports @ ix.ix_out_ports) in
-  { bb_ix = ix;
-    bb_instances = instances;
+  { bb_instances = instances;
     bb_nflows = List.length ix.ix_in_ports + List.length ix.ix_out_ports;
     bb_in_rows =
       Array.of_list (List.map (fun p -> Hashtbl.find tbl p) ix.ix_in_ports);
@@ -2281,7 +2125,7 @@ let run_batch ?schedules ?map ?(shards = 1) ?count ?(start = 0) ?stop
         List.iter
           (fun (port, msg) ->
             match Hashtbl.find_opt b.bb_in_tbl port with
-            | None -> () (* port read by nothing: ignored, as the looped run *)
+            | None -> () (* port read by nothing: ignored, as by [run] *)
             | Some r ->
               if stamp.(r) <> g then begin
                 stamp.(r) <- g;
@@ -2289,7 +2133,10 @@ let run_batch ?schedules ?map ?(shards = 1) ?count ?(start = 0) ?stop
               end)
           offered
       done;
+      (* one tick scope per range, as [run] opens one per tick *)
+      if Probe.spans_on () then Probe.enter ~tick ~cat:"tick" "tick";
       b.bb_step be lo hi;
+      if Probe.spans_on () then Probe.exit_ ~tick ~cat:"tick" "tick";
       let base = tick * nflows in
       Array.iteri
         (fun f r ->
@@ -2345,6 +2192,17 @@ let batch_trace (b : batch) ~instance =
     sim_error "batch_trace: instance %d out of range (last run had %d)"
       instance b.bb_count;
   column_trace b ~instance ~stop:b.bb_ticks
+
+(* The solo path is a width-1 batch: staged afresh per call, so an
+   [indexed] value stays shareable across concurrent runs.  A horizon
+   of [ticks <= 0] yields the empty trace, as [run]. *)
+let run_indexed ?(schedule = Clock.no_events) ~ticks ~inputs (ix : indexed) =
+  if ticks <= 0 then Trace.make ~flows:(ix.ix_in_ports @ ix.ix_out_ports)
+  else begin
+    let b = batch ~instances:1 ix in
+    run_batch ~schedules:(fun _ -> schedule) ~ticks ~inputs:(fun _ -> inputs) b;
+    batch_trace b ~instance:0
+  end
 
 (* ---------------- Batched snapshots ------------------------------- *)
 

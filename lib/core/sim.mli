@@ -60,14 +60,14 @@ val no_inputs : input_fn
     {!run} resolves channels and components by name on every tick; for
     long runs and campaigns, {!index} resolves the routing (driving
     channel per input port, evaluation order, boundary collection) once
-    and numbers components, ports and channels.  Sub-states, delay
-    registers and per-tick outputs then live in pre-sized arrays mutated
-    in place, and a driver lookup is an array read.  An {!indexed} value
-    is immutable — every {!run_indexed} call creates fresh run-time
-    state — so one indexed component can drive many concurrent
-    simulations, including from different domains.  Indexed and
-    interpreted simulation produce identical traces (asserted in the
-    test-suite); the speedup is measured by the E17 bench section. *)
+    and numbers components, ports and channels.  This is the compile
+    step beneath the one fast engine, the batched kernels below: an
+    {!indexed} value holds no run-time state — every {!batch}, and so
+    every {!run_indexed} call, allocates its own — so one indexed
+    component can drive many concurrent simulations, including from
+    different domains.  {!run_indexed} is the solo path: a width-1
+    {!batch}.  Its traces equal {!run}'s (asserted in the test-suite);
+    the speedup is measured by the E17 bench section. *)
 
 type indexed
 
@@ -78,9 +78,13 @@ val index : Model.component -> indexed
 val run_indexed :
   ?schedule:Clock.schedule -> ticks:int -> inputs:input_fn -> indexed ->
   Trace.t
-(** Like {!run}, over an indexed component: the trace records every
-    declared input and output port, absent where nothing was offered or
-    computed. *)
+(** Like {!run}, over an indexed component: stages a fresh
+    [batch ~instances:1], runs it under [schedule] and [inputs] and
+    returns its {!batch_trace}.  The trace records every declared input
+    and output port, absent where nothing was offered or computed;
+    [ticks <= 0] yields the empty trace over those flows, as {!run}.
+    Probe counter totals equal {!run}'s, and every tick opens one
+    [tick] span scope, as in {!run}. *)
 
 (** {1 Batched simulation}
 
@@ -108,8 +112,9 @@ val run_indexed :
     per-instance interpreter.  Slow paths (enum/tuple payloads, mixed
     types, errors) decode back to the same {!Value} operations as the
     interpreter, so traces, error messages and probe counter totals are
-    identical to {!run_indexed} — asserted per instance by the
-    test-suite and pinned by bench section E21.
+    identical to the interpreted oracle {!run} — asserted per instance
+    by the test-suite.  Each instance range opens one [tick] span scope
+    per tick around its step when spans are on.
 
     {b Instance-axis invariants.}  Instances never interact: each owns
     disjoint plane columns, so any contiguous instance range can be
@@ -119,10 +124,10 @@ val run_indexed :
 
     {b Determinism contract.}  [run_batch] over instances
     [0..count-1] with stimulus [inputs i] and schedule [schedules i]
-    yields, for every [i], a {!batch_trace} byte-identical to
-    [run_indexed ~schedule:(schedules i) ~ticks ~inputs:(inputs i)] —
-    independent of [shards], of the [map] executor, and of how
-    instances are packed into batches.  If a step raises (e.g.
+    yields, for every [i], a {!batch_trace} byte-identical to the
+    interpreted [run ~schedule:(schedules i) ~ticks ~inputs:(inputs i)]
+    of the indexed component — independent of [shards], of the [map]
+    executor, and of how instances are packed into batches.  If a step raises (e.g.
     [Sim_error] on an evaluation failure), the whole run aborts; which
     instance's error surfaces is unspecified when several fail. *)
 
@@ -174,8 +179,8 @@ val run_batch :
 
 val batch_trace : batch -> instance:int -> Trace.t
 (** The trace instance [instance] produced in the most recent
-    {!run_batch} — byte-identical to the {!run_indexed} trace under the
-    same stimulus and schedule.  @raise Sim_error when [instance] is
+    {!run_batch} — byte-identical to the {!run} trace under the same
+    stimulus and schedule.  @raise Sim_error when [instance] is
     outside the last run. *)
 
 type batch_snapshot
@@ -194,7 +199,7 @@ type batch_snapshot
     straight run would execute for that column: if the resumed
     stimulus and schedule agree with the capture run on every tick
     [>= t], the column's {!batch_trace} is byte-identical to the
-    straight {!run_indexed} — independent of how many snapshots were
+    straight {!run} — independent of how many snapshots were
     taken, of restore order and of which column resumes (a restore
     never mutates the snapshot).  The restored column shares the
     snapshot's trace prefix structurally; {!batch_trace} materializes

@@ -7,7 +7,8 @@
     {!Fault.schedule_of_faults} only add events at active ticks.  The
     plan exploits that:
 
-    - with at most one case, it runs solo through {!Sim.run_indexed};
+    - with at most one case, it runs solo through {!Sim.run_indexed}
+      (itself a width-1 {!Sim.batch});
     - otherwise one {!Sim.batch} of width [min n width] is compiled and
       reused in chunks;
     - when some case's {!Fault.first_effect_tick} is above 0, the
@@ -17,9 +18,10 @@
       ({!Sim.batch_restore}) to replay only its suffix; cases that fork
       at tick 0 run from reset, straight.
 
-    Every plan yields traces byte-identical to looping
-    {!Sim.run_indexed} (asserted by the test-suite for all five
-    campaign kinds, pinned by bench section E22).
+    Every plan yields traces byte-identical to running each case
+    through the interpreted oracle {!Sim.run} (asserted by the
+    test-suite; all five campaign kinds render the same reports under
+    every plan, pinned by bench section E22).
 
     Probe counters (no-ops without a sink, as all probes), counted by
     the batched plan only and independent of [?domains]:

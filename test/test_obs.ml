@@ -102,8 +102,9 @@ let test_noop_identity_guarded () =
   checkb "ticks counted" true
     (Obs.Metrics.value m "sim.ticks" = Some 64)
 
-(* The compiled fast paths — the indexed engine and a batch of it —
-   under a sink: traces stay byte-identical to the unobserved run. *)
+(* The fast engine — solo ([run_indexed], a width-1 batch) and a
+   2-wide batch — under a sink: traces stay byte-identical to the
+   unobserved run. *)
 let test_compiled_identity () =
   let ix = Sim.index Guarded.component in
   let indexed () =
@@ -317,6 +318,41 @@ let test_timeline_deterministic () =
     let first_line = String.sub t1 0 (String.index t1 '\n') in
     first_line = "tick    0: > tick")
 
+(* The solo fast path under a spans-on sink: a door-lock [run_indexed]
+   of N ticks records N closed [tick] scopes and the same counter totals
+   as the interpreted [Sim.run]. *)
+let test_indexed_tick_spans () =
+  let ticks = 24 in
+  let record run =
+    let span = Obs.Span.create () in
+    let m = Obs.Metrics.create () in
+    ignore (Obs.Probe.with_sink (Obs.Probe.standard ~span m) run);
+    let tick_scopes phase =
+      List.length
+        (List.filter
+           (fun (e : Obs.Span.event) ->
+             e.ev_phase = phase && String.equal e.ev_cat "tick")
+           (Obs.Span.events span))
+    in
+    ( tick_scopes Obs.Span.Enter,
+      tick_scopes Obs.Span.Exit,
+      Obs.Metrics.to_csv m,
+      Obs.Span.to_timeline span )
+  in
+  let inputs = Door_lock.crash_scenario in
+  let ix = Sim.index Door_lock.component in
+  let o_enter, _, o_counters, o_timeline =
+    record (fun () -> Sim.run ~ticks ~inputs Door_lock.component)
+  in
+  let enter, exit, counters, timeline =
+    record (fun () -> Sim.run_indexed ~ticks ~inputs ix)
+  in
+  checki "oracle: one tick scope per tick" ticks o_enter;
+  checki "indexed: one tick scope per tick" ticks enter;
+  checki "indexed: every tick scope closed" ticks exit;
+  checks "indexed counter totals equal the oracle's" o_counters counters;
+  checks "indexed timeline equals the oracle's" o_timeline timeline
+
 (* ------------------------------------------------------------------ *)
 (* Shared CSV writer                                                  *)
 (* ------------------------------------------------------------------ *)
@@ -376,6 +412,7 @@ let suite =
     ("chrome-trace-valid", `Quick, test_chrome_trace_valid);
     ("metrics-json-valid", `Quick, test_metrics_json_valid);
     ("timeline-deterministic", `Quick, test_timeline_deterministic);
+    ("indexed-tick-spans", `Quick, test_indexed_tick_spans);
     ("csv-quoting", `Quick, test_csv_quoting);
     ("trace-csv-shared-writer", `Quick, test_trace_csv_uses_shared_writer);
     ("profile-separate-from-metrics", `Quick,

@@ -866,10 +866,9 @@ let exec_traces ?domains ?share cases =
 (* The plan matrix: 1, W-1, W, W+1 and 3W+2 cases, over an all-tick-0
    catalog and over mixed fork ticks (tick 0, shared late forks, and a
    never-active catalog) — the default plan, the looped reference and
-   the plan over 4 domains each equal the per-case run_indexed. *)
+   the plan over 4 domains each equal the per-case interpreted run. *)
 let test_exec_plan_matrix () =
   let w = Exec.width in
-  let ix = Sim.index Door_lock.component in
   List.iter
     (fun (catalog, fork) ->
       List.iter
@@ -879,7 +878,8 @@ let test_exec_plan_matrix () =
             Array.map
               (fun (_, inputs, schedule) ->
                 Trace.to_csv
-                  (Sim.run_indexed ~schedule ~ticks:exec_ticks ~inputs ix))
+                  (Sim.run ~schedule ~ticks:exec_ticks ~inputs
+                     Door_lock.component))
               cases
           in
           List.iter
@@ -899,7 +899,8 @@ let test_exec_plan_matrix () =
       ("mixed", fun seed -> [| 0; 9; 21; 21; exec_ticks |].(seed mod 5)) ]
 
 (* Direct executor check: traces come back in case order and equal the
-   per-case run_indexed; the probe counters fire only under a sink. *)
+   per-case interpreted run; the probe counters fire only under a
+   sink. *)
 let test_prefix_traces_and_counters () =
   let ix = Sim.index Door_lock.component in
   let ticks = 40 in
@@ -921,9 +922,9 @@ let test_prefix_traces_and_counters () =
   Array.iteri
     (fun i (_, inputs, _) ->
       checkb
-        (Printf.sprintf "case %d equals run_indexed" i)
+        (Printf.sprintf "case %d equals interpreted" i)
         true
-        (Trace.equal shared.(i) (Sim.run_indexed ~ticks ~inputs ix)))
+        (Trace.equal shared.(i) (Sim.run ~ticks ~inputs Door_lock.component)))
     cases;
   let v k = Option.value ~default:0 (Automode_obs.Metrics.value m k) in
   checki "three distinct fork ticks" 3 (v "campaign.prefix.groups");

@@ -949,6 +949,22 @@ let test_indexed_late_inputs () =
         (Trace.equal t1 t))
     [ ("indexed", t2); ("batched", t3) ]
 
+(* A horizon of zero or fewer ticks is the empty trace over the declared
+   flows on both engines — no staging error, no negative-span error. *)
+let test_indexed_non_positive_horizons () =
+  let ix = Sim.index adder in
+  let inputs t = [ ("a", present_i t); ("b", present_i t) ] in
+  List.iter
+    (fun ticks ->
+      let oracle = Sim.run ~ticks ~inputs adder in
+      let indexed = Sim.run_indexed ~ticks ~inputs ix in
+      checkb (Printf.sprintf "ticks %d: indexed equals interpreted" ticks) true
+        (Trace.equal oracle indexed);
+      checki (Printf.sprintf "ticks %d: no rows" ticks) 0 (Trace.length indexed);
+      checkb (Printf.sprintf "ticks %d: declared flows" ticks) true
+        (Trace.flows indexed = [ "a"; "b"; "sum" ]))
+    [ 0; -1 ]
+
 let test_indexed_rejects_loops () =
   let comp = Dfd.of_network (loop_net ~delayed:false) in
   checkb "index raises on instantaneous loop" true
@@ -959,20 +975,20 @@ let test_indexed_rejects_loops () =
 (* ------------------------------------------------------------------ *)
 
 (* The batch determinism contract: every instance of a batch must
-   reproduce the [run_indexed] trace of its own stimulus and schedule,
-   byte for byte. *)
+   reproduce the interpreted oracle's trace of its own stimulus and
+   schedule, byte for byte. *)
 let assert_batch_matches ?schedules name comp ~instances ~ticks ~inputs =
   let ix = Sim.index comp in
   let b = Sim.batch ~instances ix in
   Sim.run_batch ?schedules ~ticks ~inputs b;
   for i = 0 to instances - 1 do
     let reference =
-      Sim.run_indexed
+      Sim.run
         ?schedule:(Option.map (fun s -> s i) schedules)
-        ~ticks ~inputs:(inputs i) ix
+        ~ticks ~inputs:(inputs i) comp
     in
     checkb
-      (Printf.sprintf "%s: instance %d equals run_indexed" name i)
+      (Printf.sprintf "%s: instance %d equals interpreted" name i)
       true
       (Trace.equal (Sim.batch_trace b ~instance:i) reference)
   done
@@ -1056,11 +1072,11 @@ let test_batch_reuse_and_shards () =
   checki "partial run count" 3 (Sim.batch_count b);
   for i = 0 to 2 do
     checkb
-      (Printf.sprintf "reused batch instance %d equals fresh indexed" i)
+      (Printf.sprintf "reused batch instance %d equals interpreted" i)
       true
       (Trace.equal
          (Sim.batch_trace b ~instance:i)
-         (Sim.run_indexed ~ticks:7 ~inputs:(inputs2 i) ix))
+         (Sim.run ~ticks:7 ~inputs:(inputs2 i) counter))
   done
 
 let test_batch_rejects () =
@@ -1088,10 +1104,11 @@ let test_batch_rejects () =
 (* The batch snapshot determinism contract, asserted at cmp level: the
    trunk runs in column 0 and is captured at every tick of [at]; each
    snapshot is then restored into every column and resumed, and every
-   column renders byte-identically (to_csv) to the straight run. *)
+   column renders byte-identically (to_csv) to the straight interpreted
+   run. *)
 let assert_snapshot_identity ?schedule name comp ~ticks ~inputs ~at =
   let ix = Sim.index comp in
-  let reference = Trace.to_csv (Sim.run_indexed ?schedule ~ticks ~inputs ix) in
+  let reference = Trace.to_csv (Sim.run ?schedule ~ticks ~inputs comp) in
   let schedules = Option.map (fun s _ -> s) schedule in
   let instances = 3 in
   let b = Sim.batch ~instances ix in
@@ -1191,7 +1208,7 @@ let test_snapshot_resume_independence () =
   checkb "different suffixes diverge" false (String.equal a1 b9);
   checkb "resume equals straight run of the composite stimulus" true
     (String.equal a1
-       (Trace.to_csv (Sim.run_indexed ~ticks ~inputs:(with_suffix 5) ix)))
+       (Trace.to_csv (Sim.run ~ticks ~inputs:(with_suffix 5) counter)))
 
 (* A restored column's trace before the restore tick is the snapshot's
    prefix, so capturing that column earlier than its restore tick is
@@ -1212,7 +1229,7 @@ let test_snapshot_rejects () =
 
 (* The batched fork: simulate a shared prefix in one column, snapshot
    at the fork tick, restore into every column and run divergent
-   suffixes — each column must equal a straight run_indexed of its
+   suffixes — each column must equal a straight interpreted run of its
    composite stimulus (prefix + own suffix).  Uses the MTD throttle so
    the capture covers sub-component state, not just slot planes. *)
 let test_batch_snapshot_fork () =
@@ -1240,11 +1257,11 @@ let test_batch_snapshot_fork () =
   Sim.run_batch ~start:fork ~reset:false ~ticks ~inputs:suffix b;
   for j = 0 to instances - 1 do
     checkb
-      (Printf.sprintf "forked column %d equals straight indexed run" j)
+      (Printf.sprintf "forked column %d equals straight interpreted run" j)
       true
       (String.equal
          (Trace.to_csv (Sim.batch_trace b ~instance:j))
-         (Trace.to_csv (Sim.run_indexed ~ticks ~inputs:(composite j) ix)))
+         (Trace.to_csv (Sim.run ~ticks ~inputs:(composite j) throttle_comp)))
   done
 
 let test_batch_snapshot_rejects () =
@@ -1610,6 +1627,8 @@ let () =
           Alcotest.test_case "re-entrant states" `Quick test_indexed_reentrant;
           Alcotest.test_case "faulted inputs" `Quick test_indexed_faulted_inputs;
           Alcotest.test_case "late inputs" `Quick test_indexed_late_inputs;
+          Alcotest.test_case "non-positive horizons" `Quick
+            test_indexed_non_positive_horizons;
           Alcotest.test_case "rejects loops" `Quick test_indexed_rejects_loops ] );
       ( "batched",
         [ Alcotest.test_case "fixtures" `Quick test_batch_fixtures;
