@@ -303,13 +303,29 @@ let channel_faults seed =
          ())
     ()
 
-let channel_campaign ?(horizon = 200_000) ~dual ~seeds () =
+(* Both legs ride the same channel-A slot indices, so one seed's legs
+   draw identical corruption keys: handing them one fault model lets
+   the second leg read the first leg's memoized outcomes. *)
+let shared_channel_faults ~seeds =
+  let models = Hashtbl.create (List.length seeds) in
+  List.iter
+    (fun seed ->
+      if not (Hashtbl.mem models seed) then
+        Hashtbl.replace models seed (channel_faults seed))
+    seeds;
+  fun seed ->
+    match Hashtbl.find_opt models seed with
+    | Some fm -> fm
+    | None -> channel_faults seed
+
+let channel_campaign ?(horizon = 200_000) ?(faults = channel_faults) ~dual
+    ~seeds () =
   let schedule = tt_schedule ~dual in
   List.map
     (fun seed ->
       let report =
         Inject_net.nominal replicated_deployment
-        |> Inject_net.with_tt ~faults:(channel_faults seed) ~schedule
+        |> Inject_net.with_tt ~faults:(faults seed) ~schedule
         |> Inject_net.simulate ~horizon
       in
       (seed, Inject_net.verdicts report))
@@ -360,13 +376,14 @@ type report = {
 }
 
 let campaign ?(shrink = true) ?domains ?horizon ~seeds () =
+  let faults = shared_channel_faults ~seeds in
   { replicated = Scenario.sweep ~shrink ?domains replicated_scenario ~seeds;
     simplex = Scenario.sweep ~shrink ?domains simplex_scenario ~seeds;
     reset = Scenario.sweep ~shrink ?domains reset_scenario ~seeds;
     tmr = Scenario.sweep ~shrink ?domains tmr_scenario ~seeds;
     tmr_simplex = Scenario.sweep ~shrink ?domains tmr_simplex_scenario ~seeds;
-    dual = channel_campaign ?horizon ~dual:true ~seeds ();
-    single = channel_campaign ?horizon ~dual:false ~seeds () }
+    dual = channel_campaign ?horizon ~faults ~dual:true ~seeds ();
+    single = channel_campaign ?horizon ~faults ~dual:false ~seeds () }
 
 let failing_seeds (c : Scenario.campaign) =
   List.sort_uniq Int.compare

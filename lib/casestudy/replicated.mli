@@ -87,12 +87,21 @@ val channel_faults : int -> Automode_osek.Tt_bus.fault_model
     corruption on channel A; channel B untouched (single-fault
     hypothesis). *)
 
+val shared_channel_faults :
+  seeds:int list -> int -> Automode_osek.Tt_bus.fault_model
+(** [shared_channel_faults ~seeds] builds {!channel_faults} once per
+    listed seed and returns the lookup (other seeds get a fresh model).
+    Passing one lookup to the dual and the single leg lets the second
+    leg reuse the first leg's memoized channel-A outcomes; verdicts are
+    the same as with per-leg models. *)
+
 val channel_campaign :
-  ?horizon:int -> dual:bool -> seeds:int list -> unit ->
+  ?horizon:int -> ?faults:(int -> Automode_osek.Tt_bus.fault_model) ->
+  dual:bool -> seeds:int list -> unit ->
   (int * (string * Monitor.verdict) list) list
 (** One {!Automode_robust.Inject_net} run per seed over
     {!replicated_deployment} with {!tt_schedule} attached (default
-    horizon 200 ms). *)
+    horizon 200 ms) under [faults seed] (default {!channel_faults}). *)
 
 (** {1 Generated redundancy communication components} *)
 

@@ -150,11 +150,10 @@ let corrupted fm p =
   || fm.loss_rate > 0.
      && (fm.loss_rate >= 1.
         ||
-        let st =
-          Random.State.make
-            [| fm.fault_seed; p.p_frame.can_id; p.queued_at; p.attempts |]
-        in
-        Random.State.float st 1.0 < fm.loss_rate)
+        Draw.float
+          [| fm.fault_seed; p.p_frame.can_id; p.queued_at; p.attempts |]
+          1.0
+        < fm.loss_rate)
 
 (* Deterministic burst starts: a fresh instance opens a burst of
    [burst_len] doomed instances with probability [burst_rate], seeded by
@@ -164,8 +163,7 @@ let burst_starts fm ~can_id ~now =
   fm.burst_rate > 0.
   && (fm.burst_rate >= 1.
      ||
-     let st = Random.State.make [| fm.fault_seed; 0x6275; can_id; now |] in
-     Random.State.float st 1.0 < fm.burst_rate)
+     Draw.float [| fm.fault_seed; 0x6275; can_id; now |] 1.0 < fm.burst_rate)
 
 let simulate ?faults ?(background = []) config ~horizon frames =
   let all_frames = frames @ background in

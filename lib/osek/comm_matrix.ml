@@ -59,7 +59,7 @@ let stock_names =
 
 let generate_body_electronics ~seed ~nodes:n ~signals =
   if n < 2 then invalid_arg "generate_body_electronics: need >= 2 nodes";
-  let state = Random.State.make [| seed |] in
+  let state = Draw.state [| seed |] in
   let node i =
     let stock = List.length stock_names in
     if i < stock then List.nth stock_names i

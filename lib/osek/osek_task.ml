@@ -31,7 +31,7 @@ let release_times t ~horizon =
   | Sporadic { seed } ->
     (* minimum inter-arrival [period], plus a pseudo-random slack of up to
        one period, deterministic in the seed *)
-    let state = Random.State.make [| seed; Hashtbl.hash t.task_name |] in
+    let state = Draw.state [| seed; Hashtbl.hash t.task_name |] in
     let rec go at acc =
       if at >= horizon then List.rev acc
       else

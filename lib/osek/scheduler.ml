@@ -48,30 +48,35 @@ let exec_model ?(jitter_frac = 0.) ?(overrun_rate = 0.)
 
 (* Per-job execution demand.  Deterministic in (seed, task, release):
    with both rates at 0 no PRNG is consulted and the demand is exactly
-   the task's WCET — today's fault-free behavior. *)
+   the task's WCET — today's fault-free behavior.  The key's stream
+   yields the overrun decision first and the jitter draw second, so
+   jitter and overrun decisions stay independent of each other's
+   presence; the stream is seeded at most once per release. *)
 let job_exec_time exec (t : Osek_task.t) ~release =
   match exec with
   | None -> t.Osek_task.wcet
   | Some m ->
     let wcet = t.Osek_task.wcet in
-    let draw () =
-      Random.State.make
-        [| m.exec_seed; Hashtbl.hash t.Osek_task.task_name; release |]
+    (* the stream after its first (overrun) draw *)
+    let drawn =
+      lazy
+        (let st =
+           Draw.state
+             [| m.exec_seed; Hashtbl.hash t.Osek_task.task_name; release |]
+         in
+         let u = Random.State.float st 1.0 in
+         (u, st))
     in
     let overrun =
       m.overrun_rate > 0.
-      && (m.overrun_rate >= 1.
-         || Random.State.float (draw ()) 1.0 < m.overrun_rate)
+      && (m.overrun_rate >= 1. || fst (Lazy.force drawn) < m.overrun_rate)
     in
     if overrun then
       Stdlib.max (wcet + 1)
         (int_of_float (ceil (float_of_int wcet *. m.overrun_factor)))
     else if m.jitter_frac > 0. then begin
       let lo = float_of_int wcet *. (1. -. m.jitter_frac) in
-      let st = draw () in
-      (* burn the overrun draw so jitter and overrun decisions stay
-         independent of each other's presence *)
-      ignore (Random.State.float st 1.0);
+      let st = snd (Lazy.force drawn) in
       Stdlib.max 1
         (int_of_float
            (Float.round (lo +. Random.State.float st (float_of_int wcet -. lo))))

@@ -93,31 +93,60 @@ let chan_faults ?(loss_rate = 0.) ?(dead = []) () =
     dead;
   { ch_loss_rate = loss_rate; ch_dead = dead }
 
-let channel_dead cf ~at =
-  List.exists (fun (f, u) -> at >= f && at < u) cf.ch_dead
+let rec in_window at = function
+  | [] -> false
+  | (f, u) :: rest -> (at >= f && at < u) || in_window at rest
 
+let channel_dead cf ~at = in_window at cf.ch_dead
+
+(* Per-(channel, slot) loss outcomes memoized by cycle: the tables
+   belong to the fault model, so every simulation run under one model —
+   the dual and the single-channel leg of a campaign seed, say — draws
+   each (seed, channel, slot, cycle) key once.  A channel's tables are
+   an association list by slot index, published through an atomic like
+   the tables themselves (see {!Draw.memo}). *)
 type fault_model = {
   tt_seed : int;
   chan_a : chan_faults;
   chan_b : chan_faults;
+  loss_a : (int * Draw.memo) list Atomic.t;
+  loss_b : (int * Draw.memo) list Atomic.t;
 }
 
 let no_faults = { ch_loss_rate = 0.; ch_dead = [] }
 
 let fault_model ?(seed = 0) ?(a = no_faults) ?(b = no_faults) () =
-  { tt_seed = seed; chan_a = a; chan_b = b }
+  { tt_seed = seed; chan_a = a; chan_b = b; loss_a = Atomic.make [];
+    loss_b = Atomic.make [] }
+
+let chan fm = function A -> fm.chan_a | B -> fm.chan_b
+
+let loss_table fm ch ~slot_index =
+  let tables = match ch with A -> fm.loss_a | B -> fm.loss_b in
+  let known = Atomic.get tables in
+  match List.assoc_opt slot_index known with
+  | Some m -> m
+  | None ->
+    let m = Draw.memo () in
+    Atomic.set tables ((slot_index, m) :: known);
+    m
 
 (* Deterministic per-transmission corruption: seeded by (fault seed,
    channel tag, slot index, cycle), a stream per channel so A and B fail
-   independently — same seed, same corruptions, bit-for-bit. *)
-let corrupted fm ch ~slot_index ~cycle =
-  let cf = match ch with A -> fm.chan_a | B -> fm.chan_b in
-  cf.ch_loss_rate > 0.
-  && (cf.ch_loss_rate >= 1.
-     ||
-     let tag = match ch with A -> 0xA | B -> 0xB in
-     let st = Random.State.make [| fm.tt_seed; tag; slot_index; cycle |] in
-     Random.State.float st 1.0 < cf.ch_loss_rate)
+   independently — same seed, same corruptions, bit-for-bit.  [lossy]
+   answers for one (channel, slot) over cycles: [None] when the channel
+   never corrupts. *)
+let lossy fm ch ~slot_index =
+  let rate = (chan fm ch).ch_loss_rate in
+  if rate <= 0. then None
+  else if rate >= 1. then Some (fun _ -> true)
+  else
+    let table = loss_table fm ch ~slot_index in
+    let tag = match ch with A -> 0xA | B -> 0xB in
+    let draw cycle =
+      Draw.float [| fm.tt_seed; tag; slot_index; cycle |] 1.0 < rate
+    in
+    Some (fun cycle -> Draw.memoized table cycle draw)
 
 type slot_stats = {
   instances : int;
@@ -128,83 +157,102 @@ type slot_stats = {
   max_consec_undelivered : int;
 }
 
-let empty_stats =
-  { instances = 0; delivered = 0; undelivered = 0; lost_a = 0; lost_b = 0;
-    max_consec_undelivered = 0 }
-
 type result = {
   horizon : int;
   cycles : int;
   per_slot : (string * slot_stats) list;
 }
 
+(* One transmission leg of a slot: its channel's outage windows and
+   corruption outcomes. *)
+type leg = { dead : (int * int) list; lost : (int -> bool) option }
+
+let leg_ok l ~at ~cycle =
+  (not (in_window at l.dead))
+  && match l.lost with None -> true | Some lost -> not (lost cycle)
+
+(* [schedule] guarantees unique frame names, so slot positions stand
+   for frames: counters live in arrays indexed by position. *)
 let simulate ?faults sched ~horizon =
   let cyc = cycle_us sched in
   if horizon < cyc then
     invalid_arg "Tt_bus.simulate: horizon holds no complete cycle";
   let cycles = horizon / cyc in
-  let stats = Hashtbl.create 16 in
-  let streaks = Hashtbl.create 16 in
-  List.iter
-    (fun s ->
-      Hashtbl.replace stats s.tt_frame empty_stats;
-      Hashtbl.replace streaks s.tt_frame 0)
-    sched.slots;
-  let update name g =
-    Hashtbl.replace stats name (g (Hashtbl.find stats name))
+  let slots = Array.of_list sched.slots in
+  let n = Array.length slots in
+  let leg s ch =
+    if not (List.mem ch s.tx_channels) then None
+    else
+      match faults with
+      | None -> Some { dead = []; lost = None }
+      | Some fm ->
+        Some
+          { dead = (chan fm ch).ch_dead;
+            lost = lossy fm ch ~slot_index:s.slot_index }
+  in
+  let legs_a = Array.map (fun s -> leg s A) slots in
+  let legs_b = Array.map (fun s -> leg s B) slots in
+  let delivered = Array.make n 0 in
+  let lost_a = Array.make n 0 in
+  let lost_b = Array.make n 0 in
+  let streak = Array.make n 0 in
+  let max_gap = Array.make n 0 in
+  let keys =
+    lazy
+      (Array.map
+         (fun s ->
+           ( "tt." ^ s.tt_frame ^ ".delivered",
+             "tt." ^ s.tt_frame ^ ".undelivered" ))
+         slots)
   in
   for cycle = 0 to cycles - 1 do
-    List.iter
-      (fun s ->
-        let at = (cycle * cyc) + (s.slot_index * sched.slot_us) in
-        let ok_on ch =
-          match faults with
-          | None -> true
-          | Some fm ->
-            let cf = match ch with A -> fm.chan_a | B -> fm.chan_b in
-            (not (channel_dead cf ~at))
-            && not (corrupted fm ch ~slot_index:s.slot_index ~cycle)
-        in
-        let results = List.map (fun ch -> (ch, ok_on ch)) s.tx_channels in
-        let delivered = List.exists snd results in
-        let lost ch =
-          List.exists (fun (c, ok) -> c = ch && not ok) results
-        in
-        update s.tt_frame (fun st ->
-            { st with
-              instances = st.instances + 1;
-              delivered = (st.delivered + if delivered then 1 else 0);
-              undelivered = (st.undelivered + if delivered then 0 else 1);
-              lost_a = (st.lost_a + if lost A then 1 else 0);
-              lost_b = (st.lost_b + if lost B then 1 else 0) });
-        if Automode_obs.Probe.active () then
-          Automode_obs.Probe.count
-            ("tt." ^ s.tt_frame
-            ^ if delivered then ".delivered" else ".undelivered");
-        if delivered then Hashtbl.replace streaks s.tt_frame 0
-        else begin
-          let run = Hashtbl.find streaks s.tt_frame + 1 in
-          Hashtbl.replace streaks s.tt_frame run;
-          update s.tt_frame (fun st ->
-              { st with
-                max_consec_undelivered =
-                  Stdlib.max st.max_consec_undelivered run })
-        end)
-      sched.slots
+    for i = 0 to n - 1 do
+      let at = (cycle * cyc) + (slots.(i).slot_index * sched.slot_us) in
+      let arrived = ref false in
+      (match legs_a.(i) with
+       | None -> ()
+       | Some l ->
+         if leg_ok l ~at ~cycle then arrived := true
+         else lost_a.(i) <- lost_a.(i) + 1);
+      (match legs_b.(i) with
+       | None -> ()
+       | Some l ->
+         if leg_ok l ~at ~cycle then arrived := true
+         else lost_b.(i) <- lost_b.(i) + 1);
+      let arrived = !arrived in
+      if Automode_obs.Probe.active () then begin
+        let d, u = (Lazy.force keys).(i) in
+        Automode_obs.Probe.count (if arrived then d else u)
+      end;
+      if arrived then begin
+        delivered.(i) <- delivered.(i) + 1;
+        streak.(i) <- 0
+      end
+      else begin
+        streak.(i) <- streak.(i) + 1;
+        max_gap.(i) <- Stdlib.max max_gap.(i) streak.(i)
+      end
+    done
   done;
   if Automode_obs.Probe.active () then
-    List.iter
-      (fun s ->
-        let st = Hashtbl.find stats s.tt_frame in
+    Array.iteri
+      (fun i s ->
         Automode_obs.Probe.gauge
           ("tt." ^ s.tt_frame ^ ".max_consec_undelivered")
-          st.max_consec_undelivered)
-      sched.slots;
+          max_gap.(i))
+      slots;
   { horizon;
     cycles;
     per_slot =
-      List.map (fun s -> (s.tt_frame, Hashtbl.find stats s.tt_frame))
-        sched.slots }
+      Array.to_list
+        (Array.mapi
+           (fun i s ->
+             ( s.tt_frame,
+               { instances = cycles; delivered = delivered.(i);
+                 undelivered = cycles - delivered.(i); lost_a = lost_a.(i);
+                 lost_b = lost_b.(i); max_consec_undelivered = max_gap.(i) }
+             ))
+           slots) }
 
 let pp_result ppf r =
   Format.fprintf ppf "horizon=%dus cycles=%d@\n" r.horizon r.cycles;

@@ -76,11 +76,12 @@ val chan_faults :
 
 val channel_dead : chan_faults -> at:int -> bool
 
-type fault_model = {
-  tt_seed : int;
-  chan_a : chan_faults;
-  chan_b : chan_faults;
-}
+type fault_model
+(** Per-channel faults of one seed.  The model owns the memo of its
+    corruption outcomes (one byte per (channel, slot, cycle), see
+    {!Draw.memo}), so simulating several schedules under one model —
+    the dual- and single-channel configuration of a seed — draws each
+    outcome once. *)
 
 val fault_model :
   ?seed:int -> ?a:chan_faults -> ?b:chan_faults -> unit -> fault_model

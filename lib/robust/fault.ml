@@ -1,4 +1,5 @@
 open Automode_core
+module Draw = Automode_osek.Draw
 
 type activation =
   | Always
@@ -13,7 +14,16 @@ type kind =
   | Spike of { value : Value.t }
   | Delayed of { by : int }
 
-type t = { flow : string; kind : kind; activation : activation }
+(* [ticks] memoizes a [Random_ticks] activation per tick: the sweep,
+   the divergence scan ({!first_effect_tick}) and every shrink replay
+   query the same fault's ticks over and over. *)
+type t = {
+  flow : string;
+  flow_key : int;
+  kind : kind;
+  activation : activation;
+  ticks : Draw.memo;
+}
 
 let check_activation = function
   | Always -> ()
@@ -28,7 +38,8 @@ let check_activation = function
 
 let make kind ~flow activation =
   check_activation activation;
-  { flow; kind; activation }
+  { flow; flow_key = Hashtbl.hash flow; kind; activation;
+    ticks = Draw.memo () }
 
 let stuck_at_last ~flow activation = make Stuck_at_last ~flow activation
 let dropout ~flow activation = make Dropout ~flow activation
@@ -73,8 +84,8 @@ let active t ~tick =
     probability >= 1.0
     || (probability > 0.
        &&
-       let st = Random.State.make [| seed; tick; Hashtbl.hash t.flow |] in
-       Random.State.float st 1.0 < probability)
+       Draw.memoized t.ticks tick (fun tick ->
+           Draw.float [| seed; tick; t.flow_key |] 1.0 < probability))
 
 (* Bounded for Always/Random_ticks activations by the horizon the
    caller simulates: the latest tick any listed fault fires at. *)
@@ -153,15 +164,14 @@ let set_flow msgs flow msg =
 
 let noisy ~amplitude ~seed ~flow ~tick = function
   | Value.Present (Value.Float f) ->
-    let st = Random.State.make [| seed; tick; Hashtbl.hash flow |] in
-    Value.Present
-      (Value.Float (f +. Random.State.float st (2. *. amplitude) -. amplitude))
+    let u = Draw.float [| seed; tick; Hashtbl.hash flow |] (2. *. amplitude) in
+    Value.Present (Value.Float (f +. u -. amplitude))
   | Value.Present (Value.Int i) ->
     let a = int_of_float (Float.round amplitude) in
     if a <= 0 then Value.Present (Value.Int i)
     else
-      let st = Random.State.make [| seed; tick; Hashtbl.hash flow |] in
-      Value.Present (Value.Int (i + Random.State.int st ((2 * a) + 1) - a))
+      let u = Draw.int [| seed; tick; Hashtbl.hash flow |] ((2 * a) + 1) in
+      Value.Present (Value.Int (i + u - a))
   | other -> other
 
 (* One fault over one stimulus.  The returned stimulus is a pure

@@ -6,7 +6,10 @@
     deterministic: activation and noise are drawn from PRNGs seeded per
     (seed, tick, flow), so the same fault list replays the same faulty
     stimulus bit-for-bit — on the interpreted and the indexed engine
-    alike. *)
+    alike.  Draws go through {!Automode_osek.Draw}; a fault with a
+    [Random_ticks] activation memoizes its per-tick outcomes (one byte
+    per tick), so the sweep, the divergence scan and every shrink
+    replay that reuse the fault value draw each tick once. *)
 
 open Automode_core
 
@@ -61,7 +64,9 @@ val activation : t -> activation
     describe injected faults without re-deriving when they fire. *)
 
 val active : t -> tick:int -> bool
-(** Whether the fault fires at [tick] — pure and deterministic. *)
+(** Whether the fault fires at [tick] — pure and deterministic: a
+    [Random_ticks] answer is the keyed draw of (seed, tick, flow),
+    memoized in the fault for ticks in [0, Draw.bound). *)
 
 val last_active_tick : t list -> horizon:int -> int option
 (** The latest tick below [horizon] where any listed fault is active,

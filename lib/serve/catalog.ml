@@ -37,13 +37,15 @@ let redund ?cache ?shrink ?domains ?prefix_share ~horizon ~seeds
   let sweep scn =
     Cached.sweep ?cache ?shrink ?domains ?prefix_share scn ~seeds
   in
+  let faults = Replicated.shared_channel_faults ~seeds in
   let channel ~dual =
     Cached.net_campaign ?cache
       ~leg:
         (Printf.sprintf "redund-%s|h=%d"
            (if dual then "dual" else "single")
            horizon)
-      ~run:(fun ~seeds -> Replicated.channel_campaign ~horizon ~dual ~seeds ())
+      ~run:(fun ~seeds ->
+        Replicated.channel_campaign ~horizon ~faults ~dual ~seeds ())
       ~seeds ()
   in
   { Replicated.replicated = sweep Replicated.replicated_scenario;

@@ -3,6 +3,7 @@
 #   - no trailing whitespace (sources, docs, build files)
 #   - no tab indentation in OCaml sources (this repo indents with spaces)
 #   - no unresolved merge-conflict markers
+#   - no PRNG seeding outside Osek.Draw in lib/osek and lib/robust
 # PAPERS.md and SNIPPETS.md are vendored reference text and exempt from
 # the whitespace rules.  Run from the repository root; exits non-zero
 # listing every offending line.  CI runs this alongside build + runtest.
@@ -33,13 +34,20 @@ git grep --untracked -nI -e '^<<<<<<< ' -e '^>>>>>>> ' -e '^||||||| ' -- \
   '*.ml' '*.mli' '*.md' '*.yml' >"$tmp" || true
 report "merge conflict marker"
 
+# Keyed draws go through Osek.Draw, the one place that seeds the PRNG
+# in the fault and timing models (DESIGN.md, "Keyed draws and their
+# memos").
+git grep --untracked -nI -e 'Random\.State\.make' -- \
+  'lib/osek/*.ml' 'lib/robust/*.ml' ':!lib/osek/draw.ml' >"$tmp" || true
+report "Random.State.make outside Draw in lib/osek or lib/robust"
+
 # Every public value in the observability, redundancy and campaign
 # service interfaces, the simulator and the campaign executor must
 # carry an odoc comment (this repo documents
 # values with a (** ... *) immediately after the declaration).  A val
 # with no doc comment before the next val (or EOF) is flagged.
 for f in lib/obs/*.mli lib/litmus/*.mli lib/proptest/*.mli lib/redund/*.mli \
-  lib/serve/*.mli lib/core/sim.mli lib/robust/exec.mli; do
+  lib/serve/*.mli lib/core/sim.mli lib/robust/exec.mli lib/osek/draw.mli; do
   awk -v file="$f" '
     /^val / {
       if (pending != "" && !documented)
@@ -53,6 +61,6 @@ for f in lib/obs/*.mli lib/litmus/*.mli lib/proptest/*.mli lib/redund/*.mli \
     }
   ' "$f"
 done >"$tmp"
-report "undocumented public .mli value (lib/obs, lib/litmus, lib/proptest, lib/redund, lib/serve, lib/core/sim.mli, lib/robust/exec.mli)"
+report "undocumented public .mli value (lib/obs, lib/litmus, lib/proptest, lib/redund, lib/serve, lib/core/sim.mli, lib/robust/exec.mli, lib/osek/draw.mli)"
 
 exit $status

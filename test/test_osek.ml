@@ -578,6 +578,188 @@ let test_tt_independent_channels () =
     (delivered (tt_sched [ Tt_bus.A; Tt_bus.B ])
     > delivered (tt_sched [ Tt_bus.A ]))
 
+(* ------------------------------------------------------------------ *)
+(* Tt_bus.simulate vs. a reference copy                                *)
+(* ------------------------------------------------------------------ *)
+
+(* The list/Hashtbl formulation [Tt_bus.simulate] had before its loop
+   went over arrays and its corruption outcomes were memoized in the
+   fault model: per transmission a fresh [Random.State.make] draw, per
+   instance a record update keyed by frame name.  Faults are the raw
+   (seed, channel A, channel B) parameters, since the fault model is
+   abstract.  The array loop must return, and probe, exactly what this
+   does. *)
+module Tt_reference = struct
+  open Tt_bus
+
+  let corrupted (seed, a, b) ch ~slot_index ~cycle =
+    let cf = match ch with A -> a | B -> b in
+    cf.ch_loss_rate > 0.
+    && (cf.ch_loss_rate >= 1.
+       ||
+       let tag = match ch with A -> 0xA | B -> 0xB in
+       let st = Random.State.make [| seed; tag; slot_index; cycle |] in
+       Random.State.float st 1.0 < cf.ch_loss_rate)
+
+  let empty_stats =
+    { instances = 0; delivered = 0; undelivered = 0; lost_a = 0; lost_b = 0;
+      max_consec_undelivered = 0 }
+
+  let simulate ?faults sched ~horizon =
+    let cyc = cycle_us sched in
+    if horizon < cyc then
+      invalid_arg "Tt_bus.simulate: horizon holds no complete cycle";
+    let cycles = horizon / cyc in
+    let stats = Hashtbl.create 16 in
+    let streaks = Hashtbl.create 16 in
+    List.iter
+      (fun s ->
+        Hashtbl.replace stats s.tt_frame empty_stats;
+        Hashtbl.replace streaks s.tt_frame 0)
+      sched.slots;
+    let update name g =
+      Hashtbl.replace stats name (g (Hashtbl.find stats name))
+    in
+    for cycle = 0 to cycles - 1 do
+      List.iter
+        (fun s ->
+          let at = (cycle * cyc) + (s.slot_index * sched.slot_us) in
+          let ok_on ch =
+            match faults with
+            | None -> true
+            | Some ((_, a, b) as fm) ->
+              let cf = match ch with A -> a | B -> b in
+              (not (channel_dead cf ~at))
+              && not (corrupted fm ch ~slot_index:s.slot_index ~cycle)
+          in
+          let results = List.map (fun ch -> (ch, ok_on ch)) s.tx_channels in
+          let delivered = List.exists snd results in
+          let lost ch =
+            List.exists (fun (c, ok) -> c = ch && not ok) results
+          in
+          update s.tt_frame (fun st ->
+              { st with
+                instances = st.instances + 1;
+                delivered = (st.delivered + if delivered then 1 else 0);
+                undelivered = (st.undelivered + if delivered then 0 else 1);
+                lost_a = (st.lost_a + if lost A then 1 else 0);
+                lost_b = (st.lost_b + if lost B then 1 else 0) });
+          if Automode_obs.Probe.active () then
+            Automode_obs.Probe.count
+              ("tt." ^ s.tt_frame
+              ^ if delivered then ".delivered" else ".undelivered");
+          if delivered then Hashtbl.replace streaks s.tt_frame 0
+          else begin
+            let run = Hashtbl.find streaks s.tt_frame + 1 in
+            Hashtbl.replace streaks s.tt_frame run;
+            update s.tt_frame (fun st ->
+                { st with
+                  max_consec_undelivered =
+                    Stdlib.max st.max_consec_undelivered run })
+          end)
+        sched.slots
+    done;
+    if Automode_obs.Probe.active () then
+      List.iter
+        (fun s ->
+          let st = Hashtbl.find stats s.tt_frame in
+          Automode_obs.Probe.gauge
+            ("tt." ^ s.tt_frame ^ ".max_consec_undelivered")
+            st.max_consec_undelivered)
+        sched.slots;
+    { horizon;
+      cycles;
+      per_slot =
+        List.map (fun s -> (s.tt_frame, Hashtbl.find stats s.tt_frame))
+          sched.slots }
+end
+
+(* A result and the probe events it fired, in firing order. *)
+let probed f =
+  let events = ref [] in
+  let sink =
+    { Automode_obs.Probe.on_count =
+        (fun k by -> events := Printf.sprintf "c %s %d" k by :: !events);
+      on_gauge =
+        (fun k v -> events := Printf.sprintf "g %s %d" k v :: !events);
+      on_sample =
+        (fun k v -> events := Printf.sprintf "s %s %d" k v :: !events);
+      on_enter = (fun ~tick:_ ~cat:_ _ -> ());
+      on_exit = (fun ~tick:_ ~cat:_ _ -> ());
+      on_instant = (fun ~tick:_ ~cat:_ _ -> ());
+      resolve_counter = (fun _ -> None);
+      record_spans = false }
+  in
+  let r = Automode_obs.Probe.with_sink sink f in
+  (r, List.rev !events)
+
+(* Slots on distinct indices of one cycle, each on A, B or both; short
+   payloads so every frame fits a 25 us slot. *)
+let gen_tt_schedule =
+  QCheck.Gen.(
+    int_range 1 8 >>= fun slots_per_cycle ->
+    list_repeat slots_per_cycle (int_range 0 3) >>= fun picks ->
+    list_repeat slots_per_cycle (int_range 0 8) >|= fun payloads ->
+    let slots =
+      List.concat
+        (List.mapi
+           (fun i (pick, payload_bytes) ->
+             let channels =
+               match pick with
+               | 0 -> []
+               | 1 -> [ Tt_bus.A ]
+               | 2 -> [ Tt_bus.B ]
+               | _ -> [ Tt_bus.A; Tt_bus.B ]
+             in
+             if channels = [] then []
+             else
+               [ Tt_bus.slot ~channels
+                   ~name:(Printf.sprintf "s%d" i)
+                   ~index:i ~payload_bytes () ])
+           (List.combine picks payloads))
+    in
+    Tt_bus.schedule ~slots_per_cycle ~slot_us:25 slots)
+
+let gen_chan ~horizon =
+  QCheck.Gen.(
+    oneofl [ 0.; 0.02; 0.5; 1. ] >>= fun loss_rate ->
+    list_size (int_range 0 2)
+      (pair (int_range 0 horizon) (int_range 0 (horizon / 4)))
+    >|= fun windows ->
+    Tt_bus.chan_faults ~loss_rate
+      ~dead:(List.map (fun (f, len) -> (f, f + len)) windows)
+      ())
+
+(* Two schedules and one fault configuration: the reference sees the
+   raw parameters, the array loop one fault model shared by both
+   schedules and two calls each, so the second call reads memoized
+   outcomes. *)
+let gen_tt_case =
+  QCheck.Gen.(
+    pair gen_tt_schedule gen_tt_schedule >>= fun (s1, s2) ->
+    let cyc = max (Tt_bus.cycle_us s1) (Tt_bus.cycle_us s2) in
+    int_range 1 120 >>= fun cycles ->
+    int_range 0 (cyc - 1) >>= fun extra ->
+    let horizon = (cycles * cyc) + extra in
+    int_range 0 1_000_000 >>= fun seed ->
+    pair (gen_chan ~horizon) (gen_chan ~horizon) >>= fun (a, b) ->
+    bool >|= fun with_faults -> (s1, s2, horizon, seed, a, b, with_faults))
+
+let test_tt_simulate_vs_reference =
+  QCheck.Test.make ~name:"TT simulate equals the reference copy" ~count:200
+    (QCheck.make gen_tt_case)
+    (fun (s1, s2, horizon, seed, a, b, with_faults) ->
+      let fm = Tt_bus.fault_model ~seed ~a ~b () in
+      let faults = if with_faults then Some fm else None in
+      let raw = if with_faults then Some (seed, a, b) else None in
+      List.for_all
+        (fun sched ->
+          let expected =
+            probed (fun () -> Tt_reference.simulate ?faults:raw sched ~horizon)
+          in
+          probed (fun () -> Tt_bus.simulate ?faults sched ~horizon) = expected)
+        [ s1; s2; s1; s2 ])
+
 let () =
   Alcotest.run "automode-osek"
     [ ( "task",
@@ -623,6 +805,7 @@ let () =
           Alcotest.test_case "channel outage" `Quick test_tt_channel_outage;
           Alcotest.test_case "independent channels" `Quick
             test_tt_independent_channels ] );
+      ("tt-ref", qsuite [ test_tt_simulate_vs_reference ]);
       ( "comm-matrix",
         [ Alcotest.test_case "check" `Quick test_matrix_check;
           Alcotest.test_case "generator" `Quick test_matrix_generator;

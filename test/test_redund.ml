@@ -216,6 +216,41 @@ let test_campaign_deterministic () =
   let b = render (Replicated.campaign ~shrink:false ~seeds ()) in
   check_str "byte-identical reports" a b
 
+(* Sharing one TT fault model per seed between the dual and the
+   single-channel leg only skips repeated draws: the verdicts, the
+   rendered report and every probe counter and gauge equal those of
+   per-leg fault models. *)
+let test_shared_fault_models () =
+  let seeds = [ 1; 2; 3; 4; 5 ] in
+  let legs faults =
+    let m = Automode_obs.Metrics.create () in
+    let legs =
+      Automode_obs.Probe.with_sink (Automode_obs.Probe.standard m) (fun () ->
+          let dual = Replicated.channel_campaign ?faults ~dual:true ~seeds () in
+          let single =
+            Replicated.channel_campaign ?faults ~dual:false ~seeds ()
+          in
+          (dual, single))
+    in
+    (legs, Automode_obs.Metrics.to_csv m)
+  in
+  let (dual, single), metrics = legs None in
+  let (dual', single'), metrics' =
+    legs (Some (Replicated.shared_channel_faults ~seeds))
+  in
+  check "dual verdicts equal" true (dual = dual');
+  check "single verdicts equal" true (single = single');
+  check_str "probe counters and gauges equal" metrics metrics';
+  check "tt probes fired" true
+    (String.length metrics > 0
+    && List.exists
+         (fun l -> String.length l > 3 && String.sub l 0 3 = "tt.")
+         (String.split_on_char '\n' metrics));
+  let render r = Format.asprintf "%a" Replicated.pp_report r in
+  let shared = Replicated.campaign ~shrink:false ~seeds () in
+  check_str "report equals the per-leg report" (render shared)
+    (render { shared with Replicated.dual; single })
+
 (* ------------------------------------------------------------------ *)
 (* Generated communication components                                  *)
 (* ------------------------------------------------------------------ *)
@@ -266,7 +301,9 @@ let () =
           Alcotest.test_case "contrast detail" `Quick
             test_campaign_contrast_detail;
           Alcotest.test_case "deterministic" `Quick
-            test_campaign_deterministic ] );
+            test_campaign_deterministic;
+          Alcotest.test_case "shared TT fault models" `Quick
+            test_shared_fault_models ] );
       ( "codegen",
         [ Alcotest.test_case "redundancy comm components" `Quick
             test_redundancy_codegen ] ) ]

@@ -110,6 +110,48 @@ let test_fault_activation_deterministic () =
   checkb "some ticks active" true (List.exists Fun.id a);
   checkb "some ticks inactive" true (List.exists not a)
 
+(* [Fault.active] memoizes a [Random_ticks] activation per tick; the
+   reference is the direct keyed draw it replaced.  Each case queries a
+   fresh fault in forward, reverse and shuffled order and then once more
+   (the memo's read-back path), including negative ticks and ticks
+   beyond the memo's bound, which are drawn directly. *)
+let reference_active ~seed ~flow ~probability tick =
+  probability >= 1.0
+  || probability > 0.
+     &&
+     let st = Random.State.make [| seed; tick; Hashtbl.hash flow |] in
+     Random.State.float st 1.0 < probability
+
+let test_fault_active_vs_reference =
+  let tick =
+    QCheck.Gen.(
+      oneof
+        [ int_range 0 200; int_range (-50) (-1);
+          int_range (Draw.bound - 5) (Draw.bound + 50) ])
+  in
+  let gen =
+    QCheck.Gen.(
+      list_size (int_range 1 60) tick >>= fun ticks ->
+      shuffle_l ticks >>= fun shuffled ->
+      triple (int_range 0 1_000_000)
+        (oneofl [ "x"; "FZG_V"; "T4S" ])
+        (oneof [ oneofl [ 0.; 1.; 0.5 ]; float_bound_inclusive 1. ])
+      >|= fun (seed, flow, probability) ->
+      (seed, flow, probability, ticks, shuffled))
+  in
+  QCheck.Test.make ~name:"memoized activation equals the keyed draw"
+    ~count:300 (QCheck.make gen)
+    (fun (seed, flow, probability, ticks, shuffled) ->
+      let expected = reference_active ~seed ~flow ~probability in
+      List.for_all
+        (fun order ->
+          let f =
+            Fault.dropout ~flow (Fault.Random_ticks { probability; seed })
+          in
+          List.for_all (fun t -> Fault.active f ~tick:t = expected t) order
+          && List.for_all (fun t -> Fault.active f ~tick:t = expected t) ticks)
+        [ ticks; List.rev ticks; shuffled ])
+
 let test_fault_validation () =
   let raises f = try ignore (f ()); false with Invalid_argument _ -> true in
   checkb "bad probability" true
@@ -644,6 +686,36 @@ let test_inject_net_engine_campaign () =
   checkb "campaign deterministic" true
     (results = Robustness.engine_campaign ~seeds:[ 1; 2; 3; 4 ] ())
 
+(* Byte pin of the engine campaign (CAN loss, execution jitter and
+   overruns on both ECUs) and of the per-ECU scheduling results under
+   it: the digest was recorded when [Scheduler.job_exec_time] still
+   seeded a release's key twice (overrun draw, then a re-seeded stream
+   with the overrun draw burnt before the jitter draw).  Reusing the
+   overrun draw's stream must leave every byte in place. *)
+let engine_campaign_report () =
+  let campaign =
+    Format.asprintf "%a" Robustness.pp_engine_campaign
+      (Robustness.engine_campaign ~seeds:[ 1; 2; 3; 4; 5; 6 ] ())
+  in
+  let ecus =
+    List.concat_map
+      (fun seed ->
+        let r =
+          Inject_net.simulate (Robustness.engine_injection ~seed ())
+            ~horizon:200_000
+        in
+        List.map
+          (fun (ecu, res) ->
+            Format.asprintf "%d %s %a" seed ecu Scheduler.pp_result res)
+          r.Inject_net.ecus)
+      [ 1; 2; 3 ]
+  in
+  String.concat "" (campaign :: ecus)
+
+let test_engine_campaign_pinned () =
+  checks "engine campaign report digest" "0530cfe6df857ab700d8b3323c0f32e2"
+    (Digest.to_hex (Digest.string (engine_campaign_report ())))
+
 (* ------------------------------------------------------------------ *)
 (* ECU crash / reset faults (From activation)                          *)
 (* ------------------------------------------------------------------ *)
@@ -968,7 +1040,9 @@ let test_exec_counters_plan_independent () =
 
 let () =
   Alcotest.run "automode-robust"
-    [ ( "fault",
+    [ ( "fault-ref",
+        [ QCheck_alcotest.to_alcotest test_fault_active_vs_reference ] );
+      ( "fault",
         [ Alcotest.test_case "dropout" `Quick test_fault_dropout;
           Alcotest.test_case "stuck-at-last" `Quick test_fault_stuck_at_last;
           Alcotest.test_case "stuck without history" `Quick
@@ -1040,7 +1114,9 @@ let () =
       ( "inject-net",
         [ Alcotest.test_case "nominal" `Quick test_inject_net_nominal;
           Alcotest.test_case "engine campaign" `Quick
-            test_inject_net_engine_campaign ] );
+            test_inject_net_engine_campaign;
+          Alcotest.test_case "engine campaign pinned" `Quick
+            test_engine_campaign_pinned ] );
       ( "parallel",
         [ Alcotest.test_case "map order" `Quick test_parallel_map_order;
           Alcotest.test_case "map raises" `Quick test_parallel_map_raises;
