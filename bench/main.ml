@@ -297,7 +297,8 @@ let e17_speedups ~domains ~assert_bounds () =
   in
   let seeds = List.init 16 (fun i -> i + 1) in
   let sweep ~domains () =
-    Automode_robust.Scenario.sweep ~shrink:false ~domains scn ~seeds
+    Automode_robust.Parallel.with_domains domains (fun () ->
+        Automode_robust.Scenario.sweep ~shrink:false scn ~seeds)
   in
   let serial_report = sweep ~domains:1 () in
   let parallel_report = sweep ~domains () in
@@ -745,7 +746,8 @@ let e22_prefix ~domains () =
     { L.Synth.bound = 2; max_scenarios = 100_000; shrink = false }
   in
   let synth ~prefix_share ?(domains = 1) () =
-    L.Synth.run ~config ~domains ~prefix_share ~twin ~alphabet ()
+    R.Parallel.with_domains domains (fun () ->
+        L.Synth.run ~config ~prefix_share ~twin ~alphabet ())
   in
   let t_lit_loop = min_time (fun () -> synth ~prefix_share:false ()) in
   let t_lit_shared = min_time (fun () -> synth ~prefix_share:true ()) in
@@ -779,7 +781,8 @@ let e22_prefix ~domains () =
       ()
   in
   let sweep ~prefix_share ?(domains = 1) () =
-    R.Scenario.sweep ~shrink:false ~domains ~prefix_share scn ~seeds
+    R.Parallel.with_domains domains (fun () ->
+        R.Scenario.sweep ~shrink:false ~prefix_share scn ~seeds)
   in
   let t_sw_loop = min_time (fun () -> sweep ~prefix_share:false ()) in
   let t_sw_shared = min_time (fun () -> sweep ~prefix_share:true ()) in

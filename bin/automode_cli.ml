@@ -332,6 +332,11 @@ let domains_arg =
                  in seed order, so the report is identical to a serial \
                  run.")
 
+(* A command's whole action runs under one domain budget. *)
+let with_domains domains f =
+  validate_positive "--domains" domains;
+  Automode_robust.Parallel.with_domains domains f
+
 let resolve_seeds seeds count =
   validate_positive "--seeds" count;
   List.iter (validate_positive "--seed values") seeds;
@@ -410,10 +415,16 @@ let cache_dir_arg =
 let make_cache cache_dir =
   Option.map (fun dir -> Serve.Cache.create ~dir ()) cache_dir
 
+(* Print a catalog outcome as the report; its gate is the exit status. *)
+let emit_outcome ~metrics ~trace_out out f =
+  let outcome, appendix = with_observability ~metrics ~trace_out f in
+  emit out (append_appendix outcome.Serve.Catalog.report appendix);
+  if not outcome.Serve.Catalog.gate_ok then exit 1
+
 let robustness_cmd =
   let run seeds count csv no_shrink engine horizon domains out metrics
       trace_out cache_dir =
-    validate_positive "--domains" domains;
+    with_domains domains @@ fun () ->
     validate_positive "--horizon" horizon;
     let seeds = resolve_seeds seeds count in
     let cache = make_cache cache_dir in
@@ -422,22 +433,16 @@ let robustness_cmd =
       (* the CSV rendering needs the campaign record itself *)
       let campaign, _ =
         with_observability ~metrics ~trace_out (fun () ->
-            Serve.Catalog.robustness ?cache ~shrink:(not no_shrink) ~domains
-              ~seeds ())
+            Serve.Catalog.robustness ?cache ~shrink:(not no_shrink) ~seeds
+              ())
       in
       emit out (Automode_robust.Report.to_csv campaign);
       if campaign.Automode_robust.Scenario.failures <> [] then exit 1
     end
-    else begin
-      let outcome, appendix =
-        with_observability ~metrics ~trace_out (fun () ->
-            Serve.Catalog.run ?cache ~shrink:(not no_shrink) ~domains
-              ~horizon ~kind:Serve.Job.Robustness
-              ~engine ~seeds ())
-      in
-      emit out (append_appendix outcome.Serve.Catalog.report appendix);
-      if not outcome.Serve.Catalog.gate_ok then exit 1
-    end
+    else
+      emit_outcome ~metrics ~trace_out out (fun () ->
+          Serve.Catalog.run ?cache ~shrink:(not no_shrink) ~horizon
+            ~kind:Serve.Job.Robustness ~engine ~seeds ())
   in
   let csv_flag =
     Arg.(value & flag & info [ "csv" ] ~doc:"Emit the report as CSV.")
@@ -461,18 +466,14 @@ let robustness_cmd =
 let guard_cmd =
   let run seeds count no_shrink engine horizon domains out metrics trace_out
       cache_dir =
-    validate_positive "--domains" domains;
+    with_domains domains @@ fun () ->
     validate_positive "--horizon" horizon;
     let seeds = resolve_seeds seeds count in
     let cache = make_cache cache_dir in
     (* only the guarded side gates: the unguarded run is the contrast *)
-    let outcome, appendix =
-      with_observability ~metrics ~trace_out (fun () ->
-          Serve.Catalog.run ?cache ~shrink:(not no_shrink) ~domains
-            ~horizon ~kind:Serve.Job.Guard ~engine ~seeds ())
-    in
-    emit out (append_appendix outcome.Serve.Catalog.report appendix);
-    if not outcome.Serve.Catalog.gate_ok then exit 1
+    emit_outcome ~metrics ~trace_out out (fun () ->
+        Serve.Catalog.run ?cache ~shrink:(not no_shrink) ~horizon
+          ~kind:Serve.Job.Guard ~engine ~seeds ())
   in
   let engine_flag =
     Arg.(value & flag
@@ -496,20 +497,15 @@ let guard_cmd =
 let redund_cmd =
   let run seeds count no_shrink horizon domains out metrics trace_out
       cache_dir =
-    validate_positive "--domains" domains;
+    with_domains domains @@ fun () ->
     validate_positive "--horizon" horizon;
     let seeds = resolve_seeds seeds count in
     let cache = make_cache cache_dir in
     (* the protected configurations gate; the simplex and single-channel
        legs are the contrast *)
-    let outcome, appendix =
-      with_observability ~metrics ~trace_out (fun () ->
-          Serve.Catalog.run ?cache ~shrink:(not no_shrink) ~domains
-            ~horizon ~kind:Serve.Job.Redund ~engine:false
-            ~seeds ())
-    in
-    emit out (append_appendix outcome.Serve.Catalog.report appendix);
-    if not outcome.Serve.Catalog.gate_ok then exit 1
+    emit_outcome ~metrics ~trace_out out (fun () ->
+        Serve.Catalog.run ?cache ~shrink:(not no_shrink) ~horizon
+          ~kind:Serve.Job.Redund ~engine:false ~seeds ())
   in
   Cmd.v
     (Cmd.info "redund"
@@ -527,7 +523,7 @@ let proptest_cmd =
   let module B = Automode_proptest.Builder in
   let run seeds count no_shrink iterations target domains out metrics
       trace_out cache_dir =
-    validate_positive "--domains" domains;
+    with_domains domains @@ fun () ->
     validate_positive "--iterations" iterations;
     let seeds = resolve_seeds seeds count in
     let shrink = not no_shrink in
@@ -537,13 +533,8 @@ let proptest_cmd =
          report (and its whole-report cache entry) is byte-identical to
          a daemon-served proptest job with the same parameters. *)
       let cache = make_cache cache_dir in
-      let outcome, appendix =
-        with_observability ~metrics ~trace_out (fun () ->
-            Serve.Catalog.proptest ?cache ~shrink ~domains
-              ~iterations ~seeds ())
-      in
-      emit out (append_appendix outcome.Serve.Catalog.report appendix);
-      if not outcome.Serve.Catalog.gate_ok then exit 1
+      emit_outcome ~metrics ~trace_out out (fun () ->
+          Serve.Catalog.proptest ?cache ~shrink ~iterations ~seeds ())
     | "unguarded" | "guarded" ->
       (* single-target runs gate on the campaign itself: the unguarded
          door lock is the known-failing target (CI asserts non-zero) *)
@@ -553,9 +544,7 @@ let proptest_cmd =
       in
       let campaign, appendix =
         with_observability ~metrics ~trace_out (fun () ->
-            B.run ~shrink ~domains
-              (B.with_iterations iterations spec)
-              ~seeds)
+            B.run ~shrink (B.with_iterations iterations spec) ~seeds)
       in
       emit out (append_appendix (B.to_text campaign) appendix);
       if not (B.gate campaign) then exit 1
@@ -611,7 +600,7 @@ let litmus_cmd =
       trace_out cache_dir =
     validate_positive "--bound" bound;
     validate_positive "--max-scenarios" max_scenarios;
-    validate_positive "--domains" domains;
+    with_domains domains @@ fun () ->
     let engine = resolve_engine engine in
     match replay with
     | Some path ->
@@ -625,8 +614,8 @@ let litmus_cmd =
        | Ok suite ->
          let r, appendix =
            with_observability ~metrics ~trace_out (fun () ->
-               Litmus_lock.replay ~domains
-                 ~model:(Serve.Catalog.litmus_model ()) ~engine suite)
+               Litmus_lock.replay ~model:(Serve.Catalog.litmus_model ())
+                 ~engine suite)
          in
          emit out (append_appendix r.Suite.rep_report appendix);
          if not (Suite.ok r) then exit 1)
@@ -637,8 +626,8 @@ let litmus_cmd =
       let cache = make_cache cache_dir in
       let result, appendix =
         with_observability ~metrics ~trace_out (fun () ->
-            Serve.Catalog.litmus_result ?cache ~domains
-              ~bound ~max_scenarios ~engine ())
+            Serve.Catalog.litmus_result ?cache ~bound ~max_scenarios
+              ~engine ())
       in
       emit out (append_appendix (Synth.to_text result) appendix);
       Option.iter
@@ -731,7 +720,7 @@ let profile_cmd =
         bundled_traces
   in
   let run name ticks domains metrics trace_out =
-    validate_positive "--domains" domains;
+    with_domains domains @@ fun () ->
     validate_positive "--ticks" ticks;
     let _, _, action =
       match
@@ -751,16 +740,14 @@ let profile_cmd =
     let sink = Obs.Probe.standard ~span ~profile:prof m in
     Obs.Profile.time prof ("profile." ^ name) (fun () ->
         Obs.Probe.with_sink sink (fun () ->
-            if domains <= 1 then action ~ticks
-            else
-              (* stress mode: one run of the target per domain, all
-                 feeding the same (mutex-guarded) sink; metrics then
-                 aggregate N runs and are only byte-stable at the
-                 serial default *)
-              ignore
-                (Automode_robust.Parallel.map ~domains
-                   (fun () -> action ~ticks)
-                   (List.init domains (fun _ -> ())))));
+            (* stress mode: one run of the target per domain, all
+               feeding the same (mutex-guarded) sink; metrics then
+               aggregate N runs and are only byte-stable at the
+               serial default *)
+            ignore
+              (Automode_robust.Parallel.map
+                 (fun () -> action ~ticks)
+                 (List.init domains (fun _ -> ())))));
     (* deterministic artifacts first, wall-clock summary (stdout only,
        never a byte-compared artifact) last *)
     Option.iter (fun p -> write_file p (Obs.Metrics.to_csv m)) metrics;
@@ -768,6 +755,13 @@ let profile_cmd =
     print_string (Obs.Metrics.to_text m);
     print_newline ();
     print_string (Obs.Profile.summary prof)
+  in
+  let stress_domains_arg =
+    Arg.(value & opt int 1
+         & info [ "domains"; "j" ] ~docv:"N"
+             ~doc:"Stress mode: run $(docv) copies of the target at once, \
+                   one per OCaml domain, into the same metrics (default 1; \
+                   metrics are byte-stable only at 1).")
   in
   let target_arg =
     let doc =
@@ -783,7 +777,7 @@ let profile_cmd =
           metrics (--metrics CSV, byte-identical across runs), \
           Chrome-trace spans (--trace JSON), and a wall-clock \
           per-component summary on stdout")
-    Term.(const run $ target_arg $ ticks_arg 200 $ domains_arg
+    Term.(const run $ target_arg $ ticks_arg 200 $ stress_domains_arg
           $ metrics_arg $ trace_out_arg)
 
 let serve_cmd =

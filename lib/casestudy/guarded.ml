@@ -131,9 +131,9 @@ type comparison = {
   guarded : Scenario.campaign;
 }
 
-let door_lock_comparison ?shrink ?domains ~seeds () =
-  { unguarded = Scenario.sweep ?shrink ?domains unguarded_scenario ~seeds;
-    guarded = Scenario.sweep ?shrink ?domains guarded_scenario ~seeds }
+let door_lock_comparison ?shrink ~seeds () =
+  { unguarded = Scenario.sweep ?shrink unguarded_scenario ~seeds;
+    guarded = Scenario.sweep ?shrink guarded_scenario ~seeds }
 
 let pp_comparison ppf { unguarded; guarded } =
   let count c =
@@ -182,8 +182,8 @@ let recovery_scenario =
     ~component ~ticks:Robustness.lock_ticks ~inputs:Robustness.lock_stimulus
     ~faults:outage_faults ~monitors:recovery_monitors ()
 
-let recovery_campaign ?shrink ?domains ~seeds () =
-  Scenario.sweep ?shrink ?domains recovery_scenario ~seeds
+let recovery_campaign ?shrink ~seeds () =
+  Scenario.sweep ?shrink recovery_scenario ~seeds
 
 (* ------------------------------------------------------------------ *)
 (* Guarded engine deployment: E2E frames + scheduler watchdog          *)
@@ -216,8 +216,8 @@ let guarded_engine_verdicts (report : Inject_net.report) =
       (Inject_net.verdicts report)
 
 let guarded_engine_campaign ?(horizon = 200_000) ?loss_rate ?burst_rate
-    ?burst_len ?overrun_rate ?overrun_factor ?(domains = 1) ~seeds () =
-  Parallel.map ~domains
+    ?burst_len ?overrun_rate ?overrun_factor ~seeds () =
+  Parallel.map
     (fun seed ->
       let inj =
         guarded_engine_injection ?loss_rate ?burst_rate ?burst_len

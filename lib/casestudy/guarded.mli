@@ -53,10 +53,11 @@ type comparison = {
 }
 
 val door_lock_comparison :
-  ?shrink:bool -> ?domains:int -> seeds:int list -> unit -> comparison
+  ?shrink:bool -> seeds:int list -> unit -> comparison
 (** Sweep both scenarios over the same seeds.  Expected shape: the
     unguarded campaign fails on most seeds, the guarded campaign on
-    none.  [?domains] parallelises each sweep (see {!Scenario.sweep}). *)
+    none.  Each sweep fans out over the domain budget (see
+    {!Scenario.sweep}). *)
 
 val pp_comparison : Format.formatter -> comparison -> unit
 
@@ -73,7 +74,7 @@ val recovery_scenario : Scenario.t
     there. *)
 
 val recovery_campaign :
-  ?shrink:bool -> ?domains:int -> seeds:int list -> unit -> Scenario.campaign
+  ?shrink:bool -> seeds:int list -> unit -> Scenario.campaign
 
 (** {1 Guarded engine deployment} *)
 
@@ -98,5 +99,5 @@ val guarded_engine_verdicts :
 
 val guarded_engine_campaign :
   ?horizon:int -> ?loss_rate:float -> ?burst_rate:float -> ?burst_len:int ->
-  ?overrun_rate:float -> ?overrun_factor:float -> ?domains:int ->
-  seeds:int list -> unit -> (int * (string * Monitor.verdict) list) list
+  ?overrun_rate:float -> ?overrun_factor:float -> seeds:int list -> unit ->
+  (int * (string * Monitor.verdict) list) list

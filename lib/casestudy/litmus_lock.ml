@@ -70,9 +70,9 @@ let alphabet =
            (Automode_robust.Fault.Window { from_tick = 20; until_tick = 27 }))
     ]
 
-let synthesize ?cache ?config ?domains ?prefix_share ?engine () =
-  Synth.run ?cache ?config ?domains ?prefix_share
+let synthesize ?cache ?config ?prefix_share ?engine () =
+  Synth.run ?cache ?config ?prefix_share
     ~twin:(twin ?engine ()) ~alphabet ()
 
-let replay ?domains ?model ?engine suite =
-  Suite.replay ?domains ?model ~twin:(twin ?engine ()) ~alphabet suite
+let replay ?model ?engine suite =
+  Suite.replay ?model ~twin:(twin ?engine ()) ~alphabet suite

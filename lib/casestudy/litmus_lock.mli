@@ -35,13 +35,12 @@ val alphabet : Alphabet.t
 (** The enumeration alphabet (13 atoms). *)
 
 val synthesize :
-  ?cache:Synth.cache -> ?config:Synth.config -> ?domains:int ->
-  ?prefix_share:bool -> ?engine:Builder.engine -> unit -> Synth.result
+  ?cache:Synth.cache -> ?config:Synth.config -> ?prefix_share:bool ->
+  ?engine:Builder.engine -> unit -> Synth.result
 (** {!Automode_litmus.Synth.run} over {!twin} and {!alphabet};
     [~prefix_share:false] forces the looped reference evaluation —
     byte-identical to the executor's default plan. *)
 
 val replay :
-  ?domains:int -> ?model:string -> ?engine:Builder.engine ->
-  Suite.t -> Suite.replay
+  ?model:string -> ?engine:Builder.engine -> Suite.t -> Suite.replay
 (** {!Automode_litmus.Suite.replay} over {!twin} and {!alphabet}. *)

@@ -47,9 +47,9 @@ type comparison = {
   guarded : Builder.campaign;
 }
 
-let run ?shrink ?domains ?prefix_share ?(iterations = 2) ~seeds () =
+let run ?shrink ?prefix_share ?(iterations = 2) ~seeds () =
   let sweep spec =
-    Builder.run ?shrink ?domains ?prefix_share
+    Builder.run ?shrink ?prefix_share
       (Builder.with_iterations iterations spec)
       ~seeds
   in

@@ -38,11 +38,11 @@ type comparison = {
 }
 
 val run :
-  ?shrink:bool -> ?domains:int -> ?prefix_share:bool ->
+  ?shrink:bool -> ?prefix_share:bool ->
   ?iterations:int -> seeds:int list -> unit -> comparison
 (** Run both specs over the same seeds ([?iterations] sequences per
     seed, default 2).  Deterministic: byte-identical across reruns,
-    engines, [?domains] and [?prefix_share] (see {!Builder.run}). *)
+    engines, domain budgets and [?prefix_share] (see {!Builder.run}). *)
 
 val contrast_holds : comparison -> bool
 (** The expected shape: the unguarded campaign has at least one

@@ -375,13 +375,13 @@ type report = {
   single : (int * (string * Monitor.verdict) list) list;
 }
 
-let campaign ?(shrink = true) ?domains ?horizon ~seeds () =
+let campaign ?(shrink = true) ?horizon ~seeds () =
   let faults = shared_channel_faults ~seeds in
-  { replicated = Scenario.sweep ~shrink ?domains replicated_scenario ~seeds;
-    simplex = Scenario.sweep ~shrink ?domains simplex_scenario ~seeds;
-    reset = Scenario.sweep ~shrink ?domains reset_scenario ~seeds;
-    tmr = Scenario.sweep ~shrink ?domains tmr_scenario ~seeds;
-    tmr_simplex = Scenario.sweep ~shrink ?domains tmr_simplex_scenario ~seeds;
+  { replicated = Scenario.sweep ~shrink replicated_scenario ~seeds;
+    simplex = Scenario.sweep ~shrink simplex_scenario ~seeds;
+    reset = Scenario.sweep ~shrink reset_scenario ~seeds;
+    tmr = Scenario.sweep ~shrink tmr_scenario ~seeds;
+    tmr_simplex = Scenario.sweep ~shrink tmr_simplex_scenario ~seeds;
     dual = channel_campaign ?horizon ~faults ~dual:true ~seeds ();
     single = channel_campaign ?horizon ~faults ~dual:false ~seeds () }
 

@@ -129,11 +129,10 @@ type report = {
 }
 
 val campaign :
-  ?shrink:bool -> ?domains:int -> ?horizon:int -> seeds:int list -> unit ->
-  report
-(** Run every leg over the seed list.  [?domains] parallelises the
-    scenario sweeps (see {!Scenario.sweep}); the report is identical to
-    a serial run. *)
+  ?shrink:bool -> ?horizon:int -> seeds:int list -> unit -> report
+(** Run every leg over the seed list.  The scenario sweeps fan out over
+    the domain budget (see {!Scenario.sweep}); the report is identical
+    to a serial run. *)
 
 val pp_report : Format.formatter -> report -> unit
 (** Stable rendering: same seeds, byte-identical output. *)

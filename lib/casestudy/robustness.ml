@@ -71,8 +71,8 @@ let door_lock_scenario =
     ~component:Door_lock.component ~ticks:lock_ticks ~inputs:lock_stimulus
     ~faults:lock_faults ~monitors:lock_monitors ()
 
-let door_lock_campaign ?shrink ?domains ~seeds () =
-  Scenario.sweep ?shrink ?domains door_lock_scenario ~seeds
+let door_lock_campaign ?shrink ~seeds () =
+  Scenario.sweep ?shrink door_lock_scenario ~seeds
 
 (* ------------------------------------------------------------------ *)
 (* Engine pipeline under CAN loss and execution-time faults            *)
@@ -101,8 +101,8 @@ let engine_injection ?(loss_rate = 0.35) ?(overrun_rate = 0.05)
           ~seed ())
 
 let engine_campaign ?(horizon = 200_000) ?loss_rate ?overrun_rate
-    ?overrun_factor ?(domains = 1) ~seeds () =
-  Parallel.map ~domains
+    ?overrun_factor ~seeds () =
+  Parallel.map
     (fun seed ->
       let inj =
         engine_injection ?loss_rate ?overrun_rate ?overrun_factor ~seed ()

@@ -39,12 +39,13 @@ val lock_monitors : Monitor.t list
 val door_lock_scenario : Scenario.t
 
 val door_lock_campaign :
-  ?shrink:bool -> ?domains:int -> seeds:int list -> unit -> Scenario.campaign
+  ?shrink:bool -> seeds:int list -> unit -> Scenario.campaign
 (** Sweep {!door_lock_scenario} over the seeds.  Expected findings: the
     dropout starves [v_ok] so lock requests go unanswered, and a second
     crash event is never re-acknowledged (the STD has no transition out
-    of [CrashUnlocked]).  [?domains] parallelises the per-seed runs
-    (see {!Scenario.sweep}); the campaign is identical either way. *)
+    of [CrashUnlocked]).  The per-seed runs fan out over the domain
+    budget (see {!Scenario.sweep}); the campaign is identical either
+    way. *)
 
 (** {1 Engine deployment under CAN loss and timing faults} *)
 
@@ -60,11 +61,11 @@ val engine_injection :
 
 val engine_campaign :
   ?horizon:int -> ?loss_rate:float -> ?overrun_rate:float ->
-  ?overrun_factor:float -> ?domains:int -> seeds:int list -> unit ->
+  ?overrun_factor:float -> seeds:int list -> unit ->
   (int * (string * Monitor.verdict) list) list
 (** One {!Inject_net.simulate} per seed (default horizon 200 ms),
-    folded to verdicts.  [?domains] fans the seeds over a domain pool;
-    results come back in seed order either way. *)
+    folded to verdicts.  The seeds fan out over the domain budget
+    ({!Parallel.map}); results come back in seed order either way. *)
 
 val pp_engine_campaign :
   Format.formatter -> (int * (string * Monitor.verdict) list) list -> unit

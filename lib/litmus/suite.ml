@@ -181,7 +181,7 @@ type replay = {
   rep_report : string;
 }
 
-let replay ?(domains = 1) ?model ~twin ~alphabet suite =
+let replay ?model ~twin ~alphabet suite =
   Builder.prepare twin.Eval.unguarded;
   Builder.prepare twin.Eval.guarded;
   let nominal = Eval.nominal twin in
@@ -215,11 +215,7 @@ let replay ?(domains = 1) ?model ~twin ~alphabet suite =
              (String.concat "," cls.Eval.tags))
       else Ok ()
   in
-  let results =
-    let work e = (e, check e) in
-    if domains > 1 then Parallel.map ~domains work suite.suite_entries
-    else List.map work suite.suite_entries
-  in
+  let results = Parallel.map (fun e -> (e, check e)) suite.suite_entries in
   let model_regression =
     match model with
     | Some m when suite.suite_model <> "" && m <> suite.suite_model ->

@@ -48,10 +48,11 @@ type replay = {
 }
 
 val replay :
-  ?domains:int -> ?model:string ->
+  ?model:string ->
   twin:Eval.twin -> alphabet:Alphabet.t -> t -> replay
-(** Re-evaluate every entry (sharded over [?domains], merged back in
-    entry order).  Regressions: an atom name the alphabet no longer
+(** Re-evaluate every entry (sharded over the
+    {!Automode_robust.Parallel.domains} budget, merged back in entry
+    order).  Regressions: an atom name the alphabet no longer
     defines, a changed divergence hash, changed tags, or — when both
     [?model] and the suite carry one — a model digest mismatch. *)
 

@@ -67,12 +67,11 @@ let proper_subset_canons atoms =
         (subsets 0 k))
     (List.init (max 0 (n - 1)) (fun i -> i + 1))
 
-let run ?cache ?(config = default_config) ?(domains = 1) ?prefix_share
+let run ?cache ?(config = default_config) ?prefix_share
     ~twin ~alphabet () =
   if config.bound < 1 then invalid_arg "Synth.run: bound must be >= 1";
   if config.max_scenarios < 1 then
     invalid_arg "Synth.run: max_scenarios must be >= 1";
-  if domains < 1 then invalid_arg "Synth.run: domains must be >= 1";
   Builder.prepare twin.Eval.unguarded;
   Builder.prepare twin.Eval.guarded;
   let nominal = Eval.nominal twin in
@@ -118,11 +117,11 @@ let run ?cache ?(config = default_config) ?(domains = 1) ?prefix_share
       else
         let opss = Array.of_list (List.map (fun (s, _) -> Space.ops s) missing) in
         let faulty_u =
-          Builder.trace_cases ~domains ?share:prefix_share
+          Builder.trace_cases ?share:prefix_share
             twin.Eval.unguarded ~seed:0 ~ticks:horizon opss
         in
         let faulty_g =
-          Builder.trace_cases ~domains ?share:prefix_share
+          Builder.trace_cases ?share:prefix_share
             twin.Eval.guarded ~seed:0 ~ticks:(Builder.ticks twin.Eval.guarded)
             opss
         in

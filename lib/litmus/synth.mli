@@ -4,8 +4,8 @@
     The pipeline: {!Space.enumerate} the scenario space (capped at
     [max_scenarios], with the truncation reported), evaluate every
     scenario on both twins — through the campaign executor
-    ({!Automode_robust.Exec}), sharded over domains and merged back in
-    enumeration order, optionally memoized through caller-supplied
+    ({!Automode_robust.Exec}), sharded over the domain budget and merged
+    back in enumeration order, optionally memoized through caller-supplied
     cache hooks keyed by canonical form — deduplicate by divergence
     hash (first occurrence in enumeration order wins, TransForm's
     new-hash/total bookkeeping), keep the survivors (distinguishing or
@@ -73,17 +73,18 @@ type result = {
 }
 
 val run :
-  ?cache:cache -> ?config:config -> ?domains:int -> ?prefix_share:bool ->
+  ?cache:cache -> ?config:config -> ?prefix_share:bool ->
   twin:Eval.twin -> alphabet:Alphabet.t -> unit -> result
 (** Synthesize.  The cache-missing scenarios' faulty traces run through
     {!Automode_proptest.Builder.trace_cases} on each twin — the
     campaign executor ({!Automode_robust.Exec.traces}) picks the plan
-    and shards it over [?domains] — and are classified with
+    and shards it over the {!Automode_robust.Parallel.domains} budget —
+    and are classified with
     {!Eval.evaluate_traces} in enumeration order.
     [~prefix_share:false] forces the looped reference (every scenario
     solo); the result, the report and the cache contents are
     byte-identical either way.  @raise Invalid_argument on a
-    non-positive bound, cap or domain count. *)
+    non-positive bound or cap. *)
 
 val gate : result -> bool
 (** The CI gate: at least one minimal distinguishing scenario found

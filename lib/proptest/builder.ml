@@ -126,10 +126,10 @@ let trace_ops t ~seed ~ops ~ticks =
 (* Traces of many fault lists of one spec, trace i belonging to
    faultss.(i): the Indexed engine runs them through the campaign
    executor, the interpreted oracle loops. *)
-let traces_of ?(domains = 1) ?share t ~ticks faultss =
+let traces_of ?share t ~ticks faultss =
   match t.engine with
   | Indexed ->
-    Exec.traces ~domains ?share ~ix:(Lazy.force t.ixc) ~ticks
+    Exec.traces ?share ~ix:(Lazy.force t.ixc) ~ticks
       ~base_inputs:t.inputs ~base_schedule:t.base_schedule
       (Array.map
          (fun faults ->
@@ -139,12 +139,12 @@ let traces_of ?(domains = 1) ?share t ~ticks faultss =
     (* force the runner before fanning out *)
     prepare t;
     Array.of_list
-      (Parallel.map ~domains
+      (Parallel.map
          (fun faults -> trace_of t ~faults ~ticks)
          (Array.to_list faultss))
 
-let trace_cases ?domains ?share t ~seed ~ticks opss =
-  traces_of ?domains ?share t ~ticks
+let trace_cases ?share t ~seed ~ticks opss =
+  traces_of ?share t ~ticks
     (Array.map (fun ops -> faults_of t ~seed ~ops) opss)
 
 let eval_monitors t tr = verdicts_of t tr
@@ -313,7 +313,7 @@ let case_failures ?(shrink = true) t case =
 (* Expand every (seed, iteration) case's op sequence up front, simulate
    them all through [traces_of], then run observers and monitors in
    case order. *)
-let run ?(shrink = true) ?domains ?prefix_share t ~seeds =
+let run ?(shrink = true) ?prefix_share t ~seeds =
   prepare t;
   let specs =
     Array.of_list
@@ -325,7 +325,7 @@ let run ?(shrink = true) ?domains ?prefix_share t ~seeds =
     Array.map (fun (seed, iteration) -> expand t ~seed ~iteration) specs
   in
   let traces =
-    traces_of ?domains ?share:prefix_share t ~ticks:t.spec_ticks
+    traces_of ?share:prefix_share t ~ticks:t.spec_ticks
       (Array.mapi (fun i ops -> faults_of t ~seed:(fst specs.(i)) ~ops) opss)
   in
   let cases =

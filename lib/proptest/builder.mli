@@ -14,7 +14,8 @@
 
     Everything downstream of (seed, iteration) is pure, so campaigns,
     reports and shrunk counterexamples are byte-identical across
-    reruns, engines and [?domains] fan-outs. *)
+    reruns, engines and domain budgets
+    ({!Automode_robust.Parallel.with_domains}). *)
 
 open Automode_core
 open Automode_robust
@@ -127,14 +128,14 @@ val trace_ops : t -> seed:int -> ops:Op.t list -> ticks:int -> Trace.t
     or diff traces themselves (e.g. litmus-scenario deduplication). *)
 
 val trace_cases :
-  ?domains:int -> ?share:bool -> t -> seed:int -> ticks:int ->
+  ?share:bool -> t -> seed:int -> ticks:int ->
   Op.t list array -> Trace.t array
 (** {!trace_ops} over many operation lists at once: trace [i] belongs
     to element [i] of the input.  With the {!Indexed} engine the lists
     run through {!Automode_robust.Exec.traces}, which picks the plan
-    (solo, batched, prefix-shared) itself and shards it over
-    [?domains]; [~share:false] (default [true]) is its looped
-    reference.  The {!Interpreted} oracle loops through {!trace_ops}.
+    (solo, batched, prefix-shared) itself and shards it over the
+    {!Automode_robust.Parallel.domains} budget; [~share:false] (default
+    [true]) is its looped reference.  The {!Interpreted} oracle loops through {!trace_ops}.
     All paths yield byte-identical traces — this is the litmus synthesis
     fan-out primitive. *)
 
@@ -194,11 +195,10 @@ val case_failures : ?shrink:bool -> t -> case -> failure list
     unless [~shrink:false]. *)
 
 val run :
-  ?shrink:bool -> ?domains:int -> ?prefix_share:bool ->
-  t -> seeds:int list -> campaign
+  ?shrink:bool -> ?prefix_share:bool -> t -> seeds:int list -> campaign
 (** The full sweep: [iterations] cases per seed, simulated through
-    {!trace_cases}'s executor ([?domains], default 1, and
-    [?prefix_share], default [true], as its [?domains] / [?share]),
+    {!trace_cases}'s executor ([?prefix_share], default [true], as its
+    [?share]),
     then observed and judged in seed-major case order; shrinking
     always runs serially after the sweep.  The campaign is
     byte-identical for every argument combination. *)

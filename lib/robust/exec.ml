@@ -26,23 +26,20 @@ let count_stats ~ticks ~at forks =
     Probe.count ~by:!replayed key_replayed
   end
 
-let solo ~domains ~ix ~ticks cases =
-  Array.of_list
-    (Parallel.map ~domains
-       (fun (_, inputs, schedule) ->
-         Sim.run_indexed ~schedule ~ticks ~inputs ix)
-       (Array.to_list cases))
-
 (* Below its fork tick a case's stimulus and schedule equal the base
    ones, so the trunk's loop iterations are exactly the iterations the
    case itself would execute, and a restored column replays exactly the
    remaining ones (the {!Sim.batch_snapshot} contract). *)
-let traces ?(domains = 1) ?(share = true) ~ix ~ticks ~base_inputs
-    ~base_schedule
+let traces ?(share = true) ~ix ~ticks ~base_inputs ~base_schedule
     (cases : (Fault.t list * Sim.input_fn * Clock.schedule) array) :
     Trace.t array =
   let n = Array.length cases in
-  if (not share) || n <= 1 then solo ~domains ~ix ~ticks cases
+  if (not share) || n <= 1 then
+    Array.of_list
+      (Parallel.map
+         (fun (_, inputs, schedule) ->
+           Sim.run_indexed ~schedule ~ticks ~inputs ix)
+         (Array.to_list cases))
   else begin
     let forks =
       Array.map
@@ -95,9 +92,8 @@ let traces ?(domains = 1) ?(share = true) ~ix ~ticks ~base_inputs
           ~schedules:(fun j ->
             let _, _, schedule = case j in
             schedule)
-          ~shards:domains
-          ~map:(fun thunks ->
-            ignore (Parallel.map ~domains (fun f -> f ()) thunks))
+          ~shards:(Parallel.domains ())
+          ~map:(fun thunks -> ignore (Parallel.map (fun f -> f ()) thunks))
           b;
         (* materialize before the next chunk reuses the columns *)
         for j = 0 to count - 1 do

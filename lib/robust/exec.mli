@@ -24,7 +24,7 @@
     every plan, pinned by bench section E22).
 
     Probe counters (no-ops without a sink, as all probes), counted by
-    the batched plan only and independent of [?domains]:
+    the batched plan only and independent of the domain budget:
     - [campaign.prefix.groups] — distinct fork ticks above 0
       (snapshots taken);
     - [campaign.prefix.forks] — cases restored from a snapshot;
@@ -39,7 +39,6 @@ val width : int
 (** [W]: the widest batch the executor compiles (8). *)
 
 val traces :
-  ?domains:int ->
   ?share:bool ->
   ix:Sim.indexed ->
   ticks:int ->
@@ -56,8 +55,8 @@ val traces :
     [inputs] is [Fault.apply faults base_inputs] and [schedule] is
     [Fault.event_schedule ~base:base_schedule ~events faults].
 
-    [?domains] (default 1) shards the instance axis over a
-    {!Parallel.map} domain pool.  [~share:false] is the looped
-    reference: every case runs solo through {!Sim.run_indexed}, fanned
-    out over [domains] — the same path shrinking replays use.  The
-    traces are identical either way. *)
+    The instance axis is sharded over the current {!Parallel.domains}
+    budget.  [~share:false] is the looped reference: every case runs
+    solo through {!Sim.run_indexed}, fanned out over the same budget —
+    the same path shrinking replays use.  The traces are identical
+    either way. *)

@@ -84,7 +84,7 @@ let seed_failures ?(shrink = true) s r =
         Some { fail_seed = r.seed; fail_monitor = mon; verdict = v; shrunk })
     r.verdicts
 
-let run_seeds ?domains ?prefix_share s ~seeds =
+let run_seeds ?prefix_share s ~seeds =
   (* Force the index compilation before fanning out, so domains share
      the immutable compiled form instead of racing on the lazy. *)
   prepare s;
@@ -97,7 +97,7 @@ let run_seeds ?domains ?prefix_share s ~seeds =
       injected
   in
   let traces =
-    Exec.traces ?domains ?share:prefix_share ~ix:(Lazy.force s.indexed)
+    Exec.traces ?share:prefix_share ~ix:(Lazy.force s.indexed)
       ~ticks:s.ticks ~base_inputs:s.inputs ~base_schedule:s.base_schedule
       cases
   in
@@ -109,7 +109,7 @@ let run_seeds ?domains ?prefix_share s ~seeds =
            verdicts = verdicts_of_trace s tr })
        traces)
 
-let sweep ?(shrink = true) ?domains ?prefix_share s ~seeds =
-  let results = run_seeds ?domains ?prefix_share s ~seeds in
+let sweep ?(shrink = true) ?prefix_share s ~seeds =
+  let results = run_seeds ?prefix_share s ~seeds in
   let failures = List.concat_map (seed_failures ~shrink s) results in
   { scenario = s.scn_name; horizon = s.ticks; seeds; results; failures }

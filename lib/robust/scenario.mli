@@ -87,18 +87,16 @@ val seed_failures : ?shrink:bool -> t -> seed_result -> failure list
     per-seed slice of a campaign's [failures] list, in verdict order. *)
 
 val run_seeds :
-  ?domains:int -> ?prefix_share:bool -> t -> seeds:int list ->
-  seed_result list
+  ?prefix_share:bool -> t -> seeds:int list -> seed_result list
 (** {!run_seed} over a seed list, results in seed order, simulated
     through {!Exec.traces}: the executor picks the plan (solo, batched,
     prefix-shared) from the seeds' fault catalogs and shards it over
-    [?domains] (default 1).  [~prefix_share:false] is the looped
+    the {!Parallel.domains} budget.  [~prefix_share:false] is the looped
     reference — every seed solo through {!Sim.run_indexed}.  Results
     are byte-identical either way. *)
 
 val sweep :
-  ?shrink:bool -> ?domains:int -> ?prefix_share:bool ->
-  t -> seeds:int list -> campaign
+  ?shrink:bool -> ?prefix_share:bool -> t -> seeds:int list -> campaign
 (** Run the scenario once per seed ({!run_seeds}) and collect
     verdicts; each failing (seed, monitor) pair is shrunk to a minimal
     fault subset and shortest failing prefix (disable with

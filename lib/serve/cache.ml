@@ -51,8 +51,13 @@ let with_lock t f =
 let entry_path root key =
   Filename.concat root (Stdlib.Digest.to_hex (Stdlib.Digest.string key))
 
-(* First line: the full key (collision / truncation guard).  Rest: the
-   payload, byte for byte. *)
+(* First line: the full key (collision guard).  Second line: the
+   payload's 32-hex-digit MD5 (corruption / truncation guard).  Rest:
+   the payload, byte for byte. *)
+let entry key payload =
+  key ^ "\n" ^ Stdlib.Digest.to_hex (Stdlib.Digest.string payload) ^ "\n"
+  ^ payload
+
 let disk_read t key =
   match t.root with
   | None -> None
@@ -67,10 +72,12 @@ let disk_read t key =
            really_input_string ic len)
      with
      | content ->
-       (match String.index_opt content '\n' with
-        | Some i when String.sub content 0 i = key ->
-          Some (String.sub content (i + 1) (String.length content - i - 1))
-        | Some _ | None -> None)
+       (* valid iff the file is exactly what [disk_write] writes *)
+       let at = String.length key + 34 in
+       let len = String.length content in
+       let payload = String.sub content (min at len) (max 0 (len - at)) in
+       if String.equal content (entry key payload) then Some payload
+       else None
      | exception Sys_error _ -> None)
 
 let write_atomic ~path content =
@@ -88,7 +95,7 @@ let write_atomic ~path content =
 let disk_write t key payload =
   match t.root with
   | None -> ()
-  | Some root -> write_atomic ~path:(entry_path root key) (key ^ "\n" ^ payload)
+  | Some root -> write_atomic ~path:(entry_path root key) (entry key payload)
 
 (* Insert under the lock; FIFO eviction.  The queue can hold keys whose
    entry was since overwritten — pop until one actually leaves. *)

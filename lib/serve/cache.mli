@@ -4,11 +4,12 @@
     Keys are arbitrary strings (the {!Cached} layer builds them from
     {!Digest} values + seed + flags); payloads are opaque strings.  The
     on-disk tier lives under [dir/v1/] — one file per key, named by the
-    key's MD5, carrying the full key on its first line so a hash
-    collision or a truncated file reads as a miss, never as a wrong
-    answer.  Writes go to a temp file in the same directory and are
-    [rename]d into place, so concurrent daemons and killed runs can
-    never expose a half-written entry.
+    key's MD5, carrying the full key on its first line and the
+    payload's MD5 on its second, so a hash collision, a truncated file
+    or a flipped payload byte reads as a miss (the entry is recomputed),
+    never as a wrong answer.  Writes go to a temp file in the same
+    directory and are [rename]d into place, so concurrent daemons and
+    killed runs can never expose a half-written entry.
 
     Lookups count [serve.cache.hit] / [serve.cache.miss] and memory
     eviction counts [serve.cache.evict] through

@@ -171,9 +171,9 @@ let seed_key ~scenario_digest scn ~shrink seed =
 (* [prefix_share] is deliberately absent from the cache key: the
    prefix-shared execution is byte-identical to the looped one, so
    entries computed either way are interchangeable. *)
-let sweep ?cache ?(shrink = true) ?domains ?prefix_share scn ~seeds =
+let sweep ?cache ?(shrink = true) ?prefix_share scn ~seeds =
   match cache with
-  | None -> Scenario.sweep ~shrink ?domains ?prefix_share scn ~seeds
+  | None -> Scenario.sweep ~shrink ?prefix_share scn ~seeds
   | Some cache ->
     let scenario_digest = Digest.scenario scn in
     let key = seed_key ~scenario_digest scn ~shrink in
@@ -196,7 +196,7 @@ let sweep ?cache ?(shrink = true) ?domains ?prefix_share scn ~seeds =
         (* only the uncached seeds are simulated, through the same
            executor as Scenario.sweep *)
         let results =
-          Scenario.run_seeds ?domains ?prefix_share scn ~seeds:missing
+          Scenario.run_seeds ?prefix_share scn ~seeds:missing
         in
         (* shrinking runs serially after the sweep, as in Scenario.sweep *)
         List.map2

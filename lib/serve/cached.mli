@@ -13,11 +13,11 @@
 open Automode_robust
 
 val sweep :
-  ?cache:Cache.t -> ?shrink:bool -> ?domains:int -> ?prefix_share:bool ->
+  ?cache:Cache.t -> ?shrink:bool -> ?prefix_share:bool ->
   Scenario.t -> seeds:int list -> Scenario.campaign
 (** Like {!Automode_robust.Scenario.sweep}, but seeds present in
     [cache] are spliced from storage and only the missing seeds are
-    simulated (through {!Automode_robust.Exec} over [?domains], looped
+    simulated (through {!Automode_robust.Exec} over the domain budget, looped
     with [~prefix_share:false], shrinking serial, exactly like the
     uncached sweep) and then stored.  With no
     cache this {e is} [Scenario.sweep].  [prefix_share] is deliberately

@@ -6,36 +6,35 @@
 open Automode_robust
 open Automode_casestudy
 
-let robustness ?cache ?shrink ?domains ?prefix_share ~seeds () =
-  Cached.sweep ?cache ?shrink ?domains ?prefix_share
+let robustness ?cache ?shrink ?prefix_share ~seeds () =
+  Cached.sweep ?cache ?shrink ?prefix_share
     Robustness.door_lock_scenario ~seeds
 
-let robustness_engine ?cache ?domains ~horizon ~seeds () =
+let robustness_engine ?cache ~horizon ~seeds () =
   Cached.net_campaign ?cache
     ~leg:(Printf.sprintf "robustness-engine|h=%d" horizon)
-    ~run:(fun ~seeds -> Robustness.engine_campaign ~horizon ?domains ~seeds ())
+    ~run:(fun ~seeds -> Robustness.engine_campaign ~horizon ~seeds ())
     ~seeds ()
 
-let guard ?cache ?shrink ?domains ?prefix_share ~seeds () =
+let guard ?cache ?shrink ?prefix_share ~seeds () =
   let sweep scn =
-    Cached.sweep ?cache ?shrink ?domains ?prefix_share scn ~seeds
+    Cached.sweep ?cache ?shrink ?prefix_share scn ~seeds
   in
   ( { Guarded.unguarded = sweep Guarded.unguarded_scenario;
       guarded = sweep Guarded.guarded_scenario },
     sweep Guarded.recovery_scenario )
 
-let guard_engine ?cache ?domains ~horizon ~seeds () =
-  ( robustness_engine ?cache ?domains ~horizon ~seeds (),
+let guard_engine ?cache ~horizon ~seeds () =
+  ( robustness_engine ?cache ~horizon ~seeds (),
     Cached.net_campaign ?cache
       ~leg:(Printf.sprintf "guard-engine|h=%d" horizon)
       ~run:(fun ~seeds ->
-        Guarded.guarded_engine_campaign ~horizon ?domains ~seeds ())
+        Guarded.guarded_engine_campaign ~horizon ~seeds ())
       ~seeds () )
 
-let redund ?cache ?shrink ?domains ?prefix_share ~horizon ~seeds
-    () =
+let redund ?cache ?shrink ?prefix_share ~horizon ~seeds () =
   let sweep scn =
-    Cached.sweep ?cache ?shrink ?domains ?prefix_share scn ~seeds
+    Cached.sweep ?cache ?shrink ?prefix_share scn ~seeds
   in
   let faults = Replicated.shared_channel_faults ~seeds in
   let channel ~dual =
@@ -70,12 +69,12 @@ type outcome = {
 (* [?prefix_share] is deliberately absent from the cache key: the
    executor's plans and the looped reference render byte-identical
    reports, so they share entries. *)
-let proptest ?cache ?(shrink = true) ?domains ?prefix_share
-    ?(iterations = 2) ~seeds () =
+let proptest ?cache ?(shrink = true) ?prefix_share ?(iterations = 2) ~seeds
+    () =
   let compute () =
     let c =
-      Automode_casestudy.Propcase.run ~shrink ?domains
-        ?prefix_share ~iterations ~seeds ()
+      Automode_casestudy.Propcase.run ~shrink ?prefix_share ~iterations
+        ~seeds ()
     in
     { report = Automode_casestudy.Propcase.to_text c;
       gate_ok = Automode_casestudy.Propcase.contrast_holds c }
@@ -131,18 +130,15 @@ let litmus_hooks cache =
     cache_find = (fun key -> Cache.find cache ~key ~decode:Option.some);
     cache_store = (fun key payload -> Cache.store cache ~key payload) }
 
-let litmus_result ?cache ?(domains = 1) ?prefix_share
+let litmus_result ?cache ?prefix_share
     ?(bound = 2) ?(max_scenarios = 100_000) ?engine () =
   Litmus_lock.synthesize
     ?cache:(Option.map litmus_hooks cache)
     ~config:{ Synth.bound; max_scenarios; shrink = true }
-    ~domains ?prefix_share ?engine ()
+    ?prefix_share ?engine ()
 
-let litmus ?cache ?domains ?prefix_share ?bound ?max_scenarios () =
-  let r =
-    litmus_result ?cache ?domains ?prefix_share ?bound
-      ?max_scenarios ()
-  in
+let litmus ?cache ?prefix_share ?bound ?max_scenarios () =
+  let r = litmus_result ?cache ?prefix_share ?bound ?max_scenarios () in
   { report = Synth.to_text r; gate_ok = Synth.gate r }
 
 let verdicts_fail vs =
@@ -151,25 +147,24 @@ let verdicts_fail vs =
       match v with Monitor.Fail _ -> true | Monitor.Pass -> false)
     vs
 
-let run ?cache ?shrink ?(domains = 1) ?prefix_share ?(horizon = 200_000)
+let run ?cache ?shrink ?prefix_share ?(horizon = 200_000)
     ?(iterations = 2) ?(bound = 2) ~kind ~engine ~seeds () =
   match (kind, engine) with
-  | Job.Litmus, _ -> litmus ?cache ~domains ?prefix_share ~bound ()
+  | Job.Litmus, _ -> litmus ?cache ?prefix_share ~bound ()
   | Job.Proptest, _ ->
-    proptest ?cache ?shrink ~domains ?prefix_share ~iterations
-      ~seeds ()
+    proptest ?cache ?shrink ?prefix_share ~iterations ~seeds ()
   | Job.Robustness, true ->
-    let results = robustness_engine ?cache ~domains ~horizon ~seeds () in
+    let results = robustness_engine ?cache ~horizon ~seeds () in
     { report = Format.asprintf "%a" Robustness.pp_engine_campaign results;
       gate_ok = not (List.exists (fun (_, vs) -> verdicts_fail vs) results) }
   | Job.Robustness, false ->
     let campaign =
-      robustness ?cache ?shrink ~domains ?prefix_share ~seeds ()
+      robustness ?cache ?shrink ?prefix_share ~seeds ()
     in
     { report = Report.to_text campaign;
       gate_ok = campaign.Scenario.failures = [] }
   | Job.Guard, true ->
-    let results, guarded = guard_engine ?cache ~domains ~horizon ~seeds () in
+    let results, guarded = guard_engine ?cache ~horizon ~seeds () in
     { report =
         Format.asprintf "unguarded engine deployment:@.%a%s%a"
           Robustness.pp_engine_campaign results
@@ -178,7 +173,7 @@ let run ?cache ?shrink ?(domains = 1) ?prefix_share ?(horizon = 200_000)
       gate_ok = not (List.exists (fun (_, vs) -> verdicts_fail vs) guarded) }
   | Job.Guard, false ->
     let cmp, recovery =
-      guard ?cache ?shrink ~domains ?prefix_share ~seeds ()
+      guard ?cache ?shrink ?prefix_share ~seeds ()
     in
     { report =
         Format.asprintf "%a%-20s %d/%d seeds failing@." Guarded.pp_comparison
@@ -189,9 +184,6 @@ let run ?cache ?shrink ?(domains = 1) ?prefix_share ?(horizon = 200_000)
         cmp.Guarded.guarded.Scenario.failures = []
         && recovery.Scenario.failures = [] }
   | Job.Redund, _ ->
-    let r =
-      redund ?cache ?shrink ~domains ?prefix_share ~horizon ~seeds
-        ()
-    in
+    let r = redund ?cache ?shrink ?prefix_share ~horizon ~seeds () in
     { report = Format.asprintf "%a" Replicated.pp_report r;
       gate_ok = Replicated.gate r }

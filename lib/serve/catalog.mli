@@ -12,34 +12,31 @@ open Automode_robust
 open Automode_casestudy
 
 val robustness :
-  ?cache:Cache.t -> ?shrink:bool -> ?domains:int ->
-  ?prefix_share:bool -> seeds:int list -> unit -> Scenario.campaign
+  ?cache:Cache.t -> ?shrink:bool -> ?prefix_share:bool ->
+  seeds:int list -> unit -> Scenario.campaign
 (** The door-lock fault-injection campaign
     ({!Automode_casestudy.Robustness.door_lock_campaign}). *)
 
 val robustness_engine :
-  ?cache:Cache.t -> ?domains:int -> horizon:int -> seeds:int list ->
-  unit -> (int * (string * Monitor.verdict) list) list
+  ?cache:Cache.t -> horizon:int -> seeds:int list -> unit ->
+  (int * (string * Monitor.verdict) list) list
 (** The engine-deployment campaign (CAN loss + timing faults). *)
 
 val guard :
-  ?cache:Cache.t -> ?shrink:bool -> ?domains:int ->
-  ?prefix_share:bool -> seeds:int list -> unit ->
-  Guarded.comparison * Scenario.campaign
+  ?cache:Cache.t -> ?shrink:bool -> ?prefix_share:bool ->
+  seeds:int list -> unit -> Guarded.comparison * Scenario.campaign
 (** The unguarded/guarded door-lock comparison plus the recovery
     campaign — the two halves of the CLI's [guard] report. *)
 
 val guard_engine :
-  ?cache:Cache.t -> ?domains:int -> horizon:int -> seeds:int list ->
-  unit ->
+  ?cache:Cache.t -> horizon:int -> seeds:int list -> unit ->
   (int * (string * Monitor.verdict) list) list
   * (int * (string * Monitor.verdict) list) list
 (** [(unguarded, guarded)] engine campaigns of [guard --engine]. *)
 
 val redund :
-  ?cache:Cache.t -> ?shrink:bool -> ?domains:int ->
-  ?prefix_share:bool -> horizon:int -> seeds:int list -> unit ->
-  Replicated.report
+  ?cache:Cache.t -> ?shrink:bool -> ?prefix_share:bool ->
+  horizon:int -> seeds:int list -> unit -> Replicated.report
 (** All seven legs of the redundancy campaign
     ({!Automode_casestudy.Replicated.campaign}). *)
 
@@ -49,8 +46,8 @@ type outcome = {
 }
 
 val proptest :
-  ?cache:Cache.t -> ?shrink:bool -> ?domains:int ->
-  ?prefix_share:bool -> ?iterations:int -> seeds:int list -> unit -> outcome
+  ?cache:Cache.t -> ?shrink:bool -> ?prefix_share:bool ->
+  ?iterations:int -> seeds:int list -> unit -> outcome
 (** The generated-sequence door-lock comparison
     ({!Automode_casestudy.Propcase.run}, [?iterations] sequences per
     seed, default 2), rendered with
@@ -66,7 +63,7 @@ val litmus_model : unit -> string
     a model drift explicitly. *)
 
 val litmus_result :
-  ?cache:Cache.t -> ?domains:int -> ?prefix_share:bool ->
+  ?cache:Cache.t -> ?prefix_share:bool ->
   ?bound:int -> ?max_scenarios:int ->
   ?engine:Automode_proptest.Builder.engine ->
   unit -> Automode_litmus.Synth.result
@@ -75,18 +72,18 @@ val litmus_result :
     per-scenario classifications through the cache under a
     [litmus|<digests>|<engine-rev>|<canonical-form>] key — after a
     model edit only changed scenarios recompute.  Defaults: bound 2,
-    max_scenarios 100000, 1 domain, indexed engine. *)
+    max_scenarios 100000, indexed engine. *)
 
 val litmus :
-  ?cache:Cache.t -> ?domains:int -> ?prefix_share:bool ->
+  ?cache:Cache.t -> ?prefix_share:bool ->
   ?bound:int -> ?max_scenarios:int -> unit -> outcome
 (** {!litmus_result} rendered with {!Automode_litmus.Synth.to_text};
     the gate is {!Automode_litmus.Synth.gate} (at least one minimal
     distinguishing scenario, no stated-bound violations). *)
 
 val run :
-  ?cache:Cache.t -> ?shrink:bool -> ?domains:int ->
-  ?prefix_share:bool -> ?horizon:int -> ?iterations:int -> ?bound:int ->
+  ?cache:Cache.t -> ?shrink:bool -> ?prefix_share:bool ->
+  ?horizon:int -> ?iterations:int -> ?bound:int ->
   kind:Job.kind -> engine:bool -> seeds:int list -> unit -> outcome
 (** Render one job's report exactly as the matching CLI subcommand
     would print it ([robustness] / [guard] / [redund] / [proptest] /

@@ -141,14 +141,10 @@ let run_job c job =
       Some (h, m)
   in
   let before = stats () in
-  let job_domains =
-    if c.workers > 1 then max 1 (c.domains / c.workers) else c.domains
-  in
   match
-    Catalog.run ?cache:c.cache ~shrink:job.Job.shrink ~domains:job_domains
-      ~horizon:job.Job.horizon ~iterations:job.Job.iterations
-      ~bound:job.Job.bound ~kind:job.Job.kind ~engine:job.Job.engine
-      ~seeds:job.Job.seeds ()
+    Catalog.run ?cache:c.cache ~shrink:job.Job.shrink ~horizon:job.Job.horizon
+      ~iterations:job.Job.iterations ~bound:job.Job.bound ~kind:job.Job.kind
+      ~engine:job.Job.engine ~seeds:job.Job.seeds ()
   with
   | outcome ->
     let latency_ms =
@@ -289,9 +285,7 @@ let process_batch c files summary_ref =
   let jobs = List.concat_map (fun (_, js) -> List.filter_map Result.to_option js) parsed in
   let outcomes =
     let work job = (job.Job.id, try run_job c job with e -> Error (Printexc.to_string e)) in
-    if c.workers > 1 then
-      Automode_robust.Parallel.map ~domains:c.workers work jobs
-    else List.map work jobs
+    Automode_robust.Parallel.map ~domains:c.workers work jobs
   in
   List.iter
     (fun (_, outcome) ->
@@ -350,7 +344,9 @@ let process_batch c files summary_ref =
 
 let run ?metrics c =
   if c.workers < 1 then invalid_arg "Daemon.run: workers < 1";
-  if c.domains < 1 then invalid_arg "Daemon.run: domains < 1";
+  (* the jobs of a batch split this budget: [Parallel.map] over
+     [workers] hands each job [max 1 (domains / workers)] *)
+  Automode_robust.Parallel.with_domains c.domains @@ fun () ->
   List.iter Cache.mkdir_p
     [ c.spool; running_dir c; done_dir c; failed_dir c; quarantine_dir c;
       c.results ];

@@ -19,9 +19,10 @@
     - [<id>.json] — a status object with the gate verdict, the job
       echo, wall-clock latency and the cache hit/miss delta.
 
-    Concurrency: with [workers > 1] the jobs of one batch run on an
-    OCaml 5 domain pool ({!Automode_robust.Parallel.map}); each job's
-    sweep then gets [max 1 (domains / workers)] domains of the budget.
+    Concurrency: the jobs of one batch run on a [workers]-domain pool
+    ({!Automode_robust.Parallel.map}) that splits the loop's budget of
+    [domains] ({!Automode_robust.Parallel.with_domains}): each job's
+    sweep gets [max 1 (domains / workers)] domains.
     Every shared structure a job touches (cache, probe sink, metrics,
     hash-cons table, compiled-net memo) is mutex-guarded, and result
     files are written atomically, so concurrent jobs interleave

@@ -4,6 +4,7 @@
 #   - no tab indentation in OCaml sources (this repo indents with spaces)
 #   - no unresolved merge-conflict markers
 #   - no PRNG seeding outside Osek.Draw in lib/osek and lib/robust
+#   - no domain-count parameter threaded through lib/ (Parallel owns it)
 # PAPERS.md and SNIPPETS.md are vendored reference text and exempt from
 # the whitespace rules.  Run from the repository root; exits non-zero
 # listing every offending line.  CI runs this alongside build + runtest.
@@ -41,13 +42,23 @@ git grep --untracked -nI -e 'Random\.State\.make' -- \
   'lib/osek/*.ml' 'lib/robust/*.ml' ':!lib/osek/draw.ml' >"$tmp" || true
 report "Random.State.make outside Draw in lib/osek or lib/robust"
 
+# The domain budget is scoped once (Parallel.with_domains) and read
+# where work fans out; no library function takes a ?domains/~domains
+# label (DESIGN.md, "One execution context").  Parallel itself and the
+# daemon's worker pool are the only places that name a domain count.
+git grep --untracked -nIE -e '[?~]\(?domains([^A-Za-z0-9_]|$)' -- \
+  'lib/*.ml' 'lib/*.mli' ':!lib/robust/parallel.ml' \
+  ':!lib/robust/parallel.mli' ':!lib/serve/daemon.ml' >"$tmp" || true
+report "?domains/~domains label in lib/ outside Parallel and Daemon"
+
 # Every public value in the observability, redundancy and campaign
 # service interfaces, the simulator and the campaign executor must
 # carry an odoc comment (this repo documents
 # values with a (** ... *) immediately after the declaration).  A val
 # with no doc comment before the next val (or EOF) is flagged.
 for f in lib/obs/*.mli lib/litmus/*.mli lib/proptest/*.mli lib/redund/*.mli \
-  lib/serve/*.mli lib/core/sim.mli lib/robust/exec.mli lib/osek/draw.mli; do
+  lib/serve/*.mli lib/core/sim.mli lib/robust/exec.mli lib/osek/draw.mli \
+  lib/robust/parallel.mli; do
   awk -v file="$f" '
     /^val / {
       if (pending != "" && !documented)
@@ -61,6 +72,6 @@ for f in lib/obs/*.mli lib/litmus/*.mli lib/proptest/*.mli lib/redund/*.mli \
     }
   ' "$f"
 done >"$tmp"
-report "undocumented public .mli value (lib/obs, lib/litmus, lib/proptest, lib/redund, lib/serve, lib/core/sim.mli, lib/robust/exec.mli, lib/osek/draw.mli)"
+report "undocumented public .mli value (lib/obs, lib/litmus, lib/proptest, lib/redund, lib/serve, lib/core/sim.mli, lib/robust/exec.mli, lib/osek/draw.mli, lib/robust/parallel.mli)"
 
 exit $status

@@ -148,10 +148,12 @@ let qcheck_hash_determines_classification =
 (* Synthesis                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let synth ?cache ?(bound = 2) ?domains ?prefix_share ?engine () =
+let synth ?cache ?(bound = 2) ?prefix_share ?engine () =
   Litmus_lock.synthesize ?cache
     ~config:{ Synth.default_config with Synth.bound }
-    ?domains ?prefix_share ?engine ()
+    ?prefix_share ?engine ()
+
+let with_domains = Automode_robust.Parallel.with_domains
 
 let test_synth_counts_coherent () =
   let r = synth () in
@@ -224,7 +226,7 @@ let test_synth_deterministic_report () =
   let a = Synth.to_text (synth ()) in
   let b = Synth.to_text (synth ()) in
   checks "report byte-stable" a b;
-  let d = Synth.to_text (synth ~domains:4 ()) in
+  let d = Synth.to_text (with_domains 4 synth) in
   checks "report identical under domains" a d;
   let e =
     Synth.to_text (synth ~engine:Automode_proptest.Builder.Interpreted ())
@@ -235,7 +237,7 @@ let test_synth_batched_identical () =
   let looped = Synth.to_text (synth ~prefix_share:false ()) in
   checks "batched plan byte-identical" looped (Synth.to_text (synth ()));
   checks "batched plan over 4 domains byte-identical" looped
-    (Synth.to_text (synth ~domains:4 ()));
+    (Synth.to_text (with_domains 4 synth));
   (* The per-scenario cache must also be oblivious to batching: a cache
      warmed by a batched run serves a looped run entirely from hits, and
      the stored payloads are identical either way. *)
@@ -269,7 +271,7 @@ let test_synth_prefix_identical () =
   let looped = Synth.to_text (synth ~prefix_share:false ()) in
   checks "shared == looped" looped (Synth.to_text (synth ()));
   checks "shared, 4 domains == looped" looped
-    (Synth.to_text (synth ~domains:4 ()));
+    (Synth.to_text (with_domains 4 synth));
   let store : (string, string) Hashtbl.t = Hashtbl.create 64 in
   let hooks =
     { Synth.cache_prefix = "prefix|";
@@ -321,7 +323,7 @@ let test_replay_green_and_deterministic () =
   checkb "freshly pinned suite replays green" true (Suite.ok r1);
   let r2 = Litmus_lock.replay suite in
   checks "replay report byte-stable" r1.Suite.rep_report r2.Suite.rep_report;
-  let r4 = Litmus_lock.replay ~domains:4 suite in
+  let r4 = with_domains 4 (fun () -> Litmus_lock.replay suite) in
   checks "replay identical under domains" r1.Suite.rep_report
     r4.Suite.rep_report;
   let ri =

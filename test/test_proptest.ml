@@ -244,38 +244,35 @@ let test_engines_identical () =
   checks "interpreted == indexed" indexed (text Builder.Interpreted)
 
 let test_campaign_deterministic () =
-  let go ?domains () =
-    Builder.to_text (Builder.run ?domains Propcase.unguarded ~seeds)
-  in
+  let go () = Builder.to_text (Builder.run Propcase.unguarded ~seeds) in
   let a = go () in
   checks "rerun byte-identical" a (go ());
-  checks "4 domains byte-identical" a (go ~domains:4 ())
+  checks "4 domains byte-identical" a (Parallel.with_domains 4 go)
 
 (* The executor batches the indexed engine's cases through the
    struct-of-arrays engine, while the interpreted oracle loops (over
    domains, too); the campaign (cases, verdicts, shrunk counterexamples)
    must be byte-identical either way. *)
 let test_campaign_batched_identical () =
-  let go ?domains spec = Builder.to_text (Builder.run ?domains spec ~seeds) in
+  let go spec = Builder.to_text (Builder.run spec ~seeds) in
+  let interpreted = Builder.with_engine Builder.Interpreted Propcase.unguarded in
   let batched = go Propcase.unguarded in
-  checks "interpreted loop == batched" batched
-    (go (Builder.with_engine Builder.Interpreted Propcase.unguarded));
+  checks "interpreted loop == batched" batched (go interpreted);
   checks "interpreted loop, 4 domains == batched" batched
-    (go ~domains:4 (Builder.with_engine Builder.Interpreted Propcase.unguarded))
+    (Parallel.with_domains 4 (fun () -> go interpreted))
 
 (* Prefix sharing is on by default; the campaign text must equal the
    looped (~prefix_share:false) run, shrinking included, also with the
    instance axis sharded over domains. *)
 let test_campaign_prefix_identical () =
-  let go ?domains ?prefix_share () =
-    Builder.to_text
-      (Builder.run ?domains ?prefix_share Propcase.unguarded ~seeds)
+  let go ?prefix_share () =
+    Builder.to_text (Builder.run ?prefix_share Propcase.unguarded ~seeds)
   in
   let looped = go ~prefix_share:false () in
   checks "shared == looped" looped (go ());
-  checks "shared, 4 domains == looped" looped (go ~domains:4 ());
+  checks "shared, 4 domains == looped" looped (Parallel.with_domains 4 go);
   checks "looped, 4 domains == looped" looped
-    (go ~domains:4 ~prefix_share:false ())
+    (Parallel.with_domains 4 (go ~prefix_share:false))
 
 let rec is_subseq small big =
   match (small, big) with

@@ -799,6 +799,68 @@ let test_parallel_map_raises () =
        false
      with Boom i -> i = 3)
 
+(* A map's workers split the budget in scope: each sees its share. *)
+let test_parallel_budget_split () =
+  checki "default budget" 1 (Parallel.domains ());
+  Parallel.with_domains 4 (fun () ->
+      checki "scoped budget" 4 (Parallel.domains ());
+      Alcotest.(check (list int))
+        "map ~domains:2 under 4: each worker gets 2" [ 2; 2; 2; 2; 2; 2 ]
+        (Parallel.map ~domains:2
+           (fun _ -> Parallel.domains ())
+           (List.init 6 Fun.id));
+      Alcotest.(check (list int))
+        "default map under 4: each worker gets 1" [ 1; 1; 1; 1; 1 ]
+        (Parallel.map (fun _ -> Parallel.domains ()) (List.init 5 Fun.id)));
+  checki "budget restored" 1 (Parallel.domains ())
+
+(* Nested fan-outs never run more leaves at once than the outer budget:
+   an atomic high-water mark over every leaf application. *)
+let test_parallel_budget_bounds_nesting () =
+  let running = Atomic.make 0 and high = Atomic.make 0 in
+  let leaf _ =
+    let now = Atomic.fetch_and_add running 1 + 1 in
+    let rec raise_high () =
+      let h = Atomic.get high in
+      if now > h && not (Atomic.compare_and_set high h now) then
+        raise_high ()
+    in
+    raise_high ();
+    let acc = ref 0 in
+    for i = 1 to 20_000 do
+      acc := !acc + i
+    done;
+    Atomic.decr running;
+    !acc
+  in
+  let inner _ = ignore (Parallel.map leaf (List.init 4 Fun.id)) in
+  List.iter
+    (fun outer ->
+      Atomic.set high 0;
+      Parallel.with_domains 4 (fun () -> outer inner);
+      checkb
+        (Printf.sprintf "high-water %d <= 4" (Atomic.get high))
+        true
+        (Atomic.get high <= 4 && Atomic.get high >= 1))
+    [ (fun f -> ignore (Parallel.map f (List.init 8 Fun.id)));
+      (fun f -> ignore (Parallel.map ~domains:2 f (List.init 8 Fun.id)));
+      (fun f ->
+        ignore
+          (Parallel.map ~domains:2
+             (fun i -> ignore (Parallel.map ~domains:2 f [ i; i + 1 ]))
+             (List.init 4 Fun.id))) ]
+
+let test_parallel_budget_restored_on_raise () =
+  Parallel.with_domains 3 (fun () ->
+      (try Parallel.with_domains 5 (fun () -> raise Exit) with Exit -> ());
+      checki "inner budget undone after a raise" 3 (Parallel.domains ()));
+  checki "outer budget undone" 1 (Parallel.domains ())
+
+let test_parallel_budget_rejects_zero () =
+  checkb "with_domains 0 raises Invalid_argument" true
+    (try Parallel.with_domains 0 (fun () -> false)
+     with Invalid_argument _ -> true)
+
 (* The tentpole's determinism claim: a parallel sweep renders the very
    same report bytes as the serial one, at any domain count. *)
 let test_parallel_campaign_byte_identical () =
@@ -807,7 +869,8 @@ let test_parallel_campaign_byte_identical () =
   List.iter
     (fun domains ->
       let par =
-        Robustness.door_lock_campaign ~shrink:false ~domains ~seeds ()
+        Parallel.with_domains domains (fun () ->
+            Robustness.door_lock_campaign ~shrink:false ~seeds ())
       in
       checks
         (Printf.sprintf "text report identical, %d domains" domains)
@@ -821,7 +884,9 @@ let test_parallel_engine_campaign_identical () =
   let seeds = [ 1; 2; 3 ] in
   let serial = Robustness.engine_campaign ~horizon:50_000 ~seeds () in
   checkb "engine campaign identical at 2 domains" true
-    (serial = Robustness.engine_campaign ~horizon:50_000 ~domains:2 ~seeds ())
+    (serial
+     = Parallel.with_domains 2 (fun () ->
+           Robustness.engine_campaign ~horizon:50_000 ~seeds ()))
 
 (* ------------------------------------------------------------------ *)
 (* Instance-batched sweeps                                             *)
@@ -836,7 +901,10 @@ let test_batched_campaign_byte_identical () =
   let looped = Scenario.sweep ~shrink:false ~prefix_share:false scn ~seeds in
   List.iter
     (fun domains ->
-      let batched = Scenario.sweep ~shrink:false ~domains scn ~seeds in
+      let batched =
+        Parallel.with_domains domains (fun () ->
+            Scenario.sweep ~shrink:false scn ~seeds)
+      in
       checks
         (Printf.sprintf "text report identical, %d domains" domains)
         (Report.to_text looped) (Report.to_text batched);
@@ -851,7 +919,9 @@ let test_batched_sweep_shrinks_identically () =
   let seeds = [ 1; 2; 3 ] in
   let scn = Robustness.door_lock_scenario in
   let looped = Scenario.sweep ~prefix_share:false scn ~seeds in
-  let batched = Scenario.sweep ~domains:4 scn ~seeds in
+  let batched =
+    Parallel.with_domains 4 (fun () -> Scenario.sweep scn ~seeds)
+  in
   checks "shrunk report identical" (Report.to_text looped)
     (Report.to_text batched)
 
@@ -867,7 +937,10 @@ let test_prefix_sweep_byte_identical () =
   let looped = Scenario.sweep ~shrink:false ~prefix_share:false scn ~seeds in
   List.iter
     (fun domains ->
-      let shared = Scenario.sweep ~shrink:false ~domains scn ~seeds in
+      let shared =
+        Parallel.with_domains domains (fun () ->
+            Scenario.sweep ~shrink:false scn ~seeds)
+      in
       checks
         (Printf.sprintf "text identical, %d domains" domains)
         (Report.to_text looped) (Report.to_text shared);
@@ -907,7 +980,9 @@ let test_prefix_degenerate_tick0 () =
   checks "tick-0 catalog identical" looped
     (Report.to_text (Scenario.sweep ~shrink:false scn ~seeds));
   checks "tick-0 catalog identical, 4 domains" looped
-    (Report.to_text (Scenario.sweep ~shrink:false ~domains:4 scn ~seeds))
+    (Report.to_text
+       (Parallel.with_domains 4 (fun () ->
+            Scenario.sweep ~shrink:false scn ~seeds)))
 
 (* Executor cases over the door lock: dropout windows opening at
    [fork seed] (a tick-0 fork runs from reset, a fork at the horizon
@@ -930,8 +1005,8 @@ let exec_case fork seed =
     Fault.apply faults exec_base,
     Fault.event_schedule ~events:exec_events faults )
 
-let exec_traces ?domains ?share cases =
-  Exec.traces ?domains ?share ~ix:(Sim.index Door_lock.component)
+let exec_traces ?share cases =
+  Exec.traces ?share ~ix:(Sim.index Door_lock.component)
     ~ticks:exec_ticks ~base_inputs:exec_base ~base_schedule:Clock.no_events
     cases
 
@@ -965,7 +1040,8 @@ let test_exec_plan_matrix () =
                 traces)
             [ ("default", exec_traces cases);
               ("looped", exec_traces ~share:false cases);
-              ("4 domains", exec_traces ~domains:4 cases) ])
+              ( "4 domains",
+                Parallel.with_domains 4 (fun () -> exec_traces cases) ) ])
         [ 1; w - 1; w; w + 1; (3 * w) + 2 ])
     [ ("tick-0", fun _ -> 0);
       ("mixed", fun seed -> [| 0; 9; 21; 21; exec_ticks |].(seed mod 5)) ]
@@ -1022,7 +1098,8 @@ let test_exec_counters_plan_independent () =
     let m = Automode_obs.Metrics.create () in
     ignore
       (Automode_obs.Probe.with_sink (Automode_obs.Probe.standard m)
-         (fun () -> exec_traces ~domains cases));
+         (fun () ->
+           Parallel.with_domains domains (fun () -> exec_traces cases)));
     List.map
       (fun k -> Option.value ~default:0 (Automode_obs.Metrics.value m k))
       keys
@@ -1120,6 +1197,14 @@ let () =
       ( "parallel",
         [ Alcotest.test_case "map order" `Quick test_parallel_map_order;
           Alcotest.test_case "map raises" `Quick test_parallel_map_raises;
+          Alcotest.test_case "budget split by map" `Quick
+            test_parallel_budget_split;
+          Alcotest.test_case "budget bounds nested fan-outs" `Quick
+            test_parallel_budget_bounds_nesting;
+          Alcotest.test_case "budget restored on raise" `Quick
+            test_parallel_budget_restored_on_raise;
+          Alcotest.test_case "budget rejects zero" `Quick
+            test_parallel_budget_rejects_zero;
           Alcotest.test_case "batched campaign byte-identical" `Quick
             test_batched_campaign_byte_identical;
           Alcotest.test_case "batched sweep shrinks identically" `Quick

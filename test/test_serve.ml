@@ -126,6 +126,48 @@ let test_cache_disk_tier () =
     (try ignore (Serve.Cache.create ~capacity:0 ()); false
      with Invalid_argument _ -> true)
 
+(* A flipped payload byte in a disk entry must read as a miss: the seed
+   is recomputed and the report equals the uncached one.  Here seed 5's
+   first lock-answered failure tick 22 becomes 29 on disk, which the
+   entry's decoder alone would accept. *)
+let find_sub needle s =
+  let n = String.length needle in
+  let rec go i =
+    if i + n > String.length s then None
+    else if String.sub s i n = needle then Some i
+    else go (i + 1)
+  in
+  go 0
+
+let test_cache_corrupt_entry_recomputed () =
+  let seeds = List.init 8 (fun i -> i + 1) in
+  let uncached = Report.to_text (Serve.Catalog.robustness ~seeds ()) in
+  let dir = temp_dir "automode-corrupt" in
+  ignore
+    (Serve.Catalog.robustness ~cache:(Serve.Cache.create ~dir ()) ~seeds ());
+  let root = Filename.concat dir "v1" in
+  let read path = In_channel.with_open_bin path In_channel.input_all in
+  let entry =
+    List.find
+      (fun f ->
+        let text = read f in
+        let key = String.sub text 0 (String.index text '\n') in
+        find_sub "|seed=5|" key <> None)
+      (List.map (Filename.concat root) (Array.to_list (Sys.readdir root)))
+  in
+  let text = read entry in
+  let at = Option.get (find_sub "\"f\",22," text) in
+  let corrupt = Bytes.of_string text in
+  Bytes.set corrupt (at + 5) '9';
+  Out_channel.with_open_bin entry (fun oc ->
+      Out_channel.output_bytes oc corrupt);
+  let cache = Serve.Cache.create ~dir () in
+  let reread = Report.to_text (Serve.Catalog.robustness ~cache ~seeds ()) in
+  checks "corrupt entry recomputed: report equals the uncached one" uncached
+    reread;
+  let _, misses, _ = Serve.Cache.stats cache in
+  checki "the corrupt seed is the only miss" 1 misses
+
 (* ------------------------------------------------------------------ *)
 (* Cached sweeps: byte-identical warm reports, range splicing         *)
 (* ------------------------------------------------------------------ *)
@@ -540,8 +582,8 @@ let kinds =
    reference (~prefix_share:false) and the plan sharded over 4 domains:
    byte-identical reports and gates. *)
 let check_plans ?(iterations = 1) ~label ~seeds (name, kind) =
-  let go ?domains ?prefix_share () =
-    Serve.Catalog.run ?domains ?prefix_share ~shrink:false ~horizon:50_000
+  let go ?prefix_share () =
+    Serve.Catalog.run ?prefix_share ~shrink:false ~horizon:50_000
       ~iterations ~bound:1 ~kind ~engine:false ~seeds ()
   in
   let looped = go ~prefix_share:false () in
@@ -552,7 +594,7 @@ let check_plans ?(iterations = 1) ~label ~seeds (name, kind) =
       o.Serve.Catalog.gate_ok
   in
   same "default plan == looped" (go ());
-  same "4 domains == looped" (go ~domains:4 ())
+  same "4 domains == looped" (Parallel.with_domains 4 go)
 
 let test_catalog_batched_identical () =
   List.iter (check_plans ~label:"2 seeds" ~seeds:[ 1; 2 ]) kinds
@@ -653,6 +695,8 @@ let suite =
     Alcotest.test_case "shared index hash-consing" `Quick test_shared_index;
     Alcotest.test_case "cache memory tier" `Quick test_cache_memory_tier;
     Alcotest.test_case "cache disk tier" `Quick test_cache_disk_tier;
+    Alcotest.test_case "cache corrupt entry recomputed" `Quick
+      test_cache_corrupt_entry_recomputed;
     Alcotest.test_case "warm report byte-identical" `Quick
       test_warm_report_byte_identical;
     Alcotest.test_case "overlapping range splicing" `Quick
