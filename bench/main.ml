@@ -694,7 +694,14 @@ let e5_index_scaling () =
    are stable on noisy runners, and report byte-identity (default plan,
    looped reference and --domains) is asserted whenever the section
    runs.  The prefix counters of the shared sweep are
-   printed as the shared/replayed-ticks table of EXPERIMENTS E22. *)
+   printed as the shared/replayed-ticks table of EXPERIMENTS E22.
+
+   Two few-seed sweeps whose cases fork at spread ticks, one chunk plan
+   each, print their ratio to the looped run and their prefix counters
+   (no ratio gate), and assert report identity too:
+   - door lock, 200 ticks, 8 seeds, dropout windows from tick
+     10 + 23 * (seed mod 8);
+   - a 400-block random DFD, 32 ticks, 4 seeds, forks at 3/10/17/24. *)
 let e22_prefix ~domains () =
   section "E22 | prefix sharing: checkpointed campaigns vs straight loops";
   let reps = 3 in
@@ -764,51 +771,94 @@ let e22_prefix ~domains () =
      prefix-shared %.1f ms (%.1fx); reports byte-identical: %b\n"
     (L.Alphabet.size alphabet) horizon (t_lit_loop *. 1e3)
     (t_lit_shared *. 1e3) ratio_lit lit_identical;
-  (* -- 1000-seed late-fault robustness sweep ----------------------- *)
+  (* -- robustness sweeps: looped vs prefix-shared ------------------ *)
+  (* Times [samples] sweeps per sample (one few-seed sweep takes a few
+     milliseconds), checks report identity (serial and --domains),
+     prints the ratio and the shared sweep's prefix counters (the
+     EXPERIMENTS E22 tables; counters are inert without this sink) and
+     returns the per-sweep times. *)
+  let sweep_row ~label ~samples scn ~seeds =
+    let sweep ~prefix_share ?(domains = 1) () =
+      R.Parallel.with_domains domains (fun () ->
+          R.Scenario.sweep ~shrink:false ~prefix_share scn ~seeds)
+    in
+    let per_sweep f =
+      min_time (fun () ->
+          for _ = 1 to samples do
+            ignore (f ())
+          done)
+      /. float_of_int samples
+    in
+    let t_loop = per_sweep (sweep ~prefix_share:false) in
+    let t_shared = per_sweep (sweep ~prefix_share:true) in
+    let reference = R.Report.to_text (sweep ~prefix_share:false ()) in
+    let identical =
+      List.for_all
+        (fun r -> String.equal reference (R.Report.to_text (r ())))
+        [ (fun () -> sweep ~prefix_share:true ());
+          (fun () -> sweep ~prefix_share:true ~domains ()) ]
+    in
+    Printf.printf
+      "%s, %d seeds x %d ticks: looped %.2f ms, prefix-shared %.2f ms \
+       (%.1fx); reports byte-identical (serial/domains): %b\n"
+      label (List.length seeds) (R.Scenario.ticks scn) (t_loop *. 1e3)
+      (t_shared *. 1e3) (t_loop /. t_shared) identical;
+    let m = Automode_obs.Metrics.create () in
+    ignore
+      (Automode_obs.Probe.with_sink
+         (Automode_obs.Probe.standard m)
+         (fun () -> sweep ~prefix_share:true ()));
+    print_string (Automode_obs.Metrics.to_text m);
+    (t_loop, t_shared, identical)
+  in
   let sweep_ticks = 200 in
-  let seeds = List.init 1000 (fun i -> i + 1) in
-  let scn =
-    R.Scenario.make ~name:"door-lock-late-dropout"
-      ~component:Door_lock.component ~ticks:sweep_ticks
+  let door_dropout ~name from_tick =
+    R.Scenario.make ~name ~component:Door_lock.component ~ticks:sweep_ticks
       ~inputs:Robustness.lock_stimulus
       ~faults:(fun seed ->
         [ R.Fault.dropout ~flow:"FZG_V"
             (R.Fault.Window
-               { from_tick = 186 + (seed mod 8); until_tick = sweep_ticks })
-        ])
+               { from_tick = from_tick seed; until_tick = sweep_ticks }) ])
       ~monitors:
         [ R.Monitor.range ~name:"volt-range" ~flow:"FZG_V" ~lo:0. ~hi:48. ]
       ()
   in
-  let sweep ~prefix_share ?(domains = 1) () =
-    R.Parallel.with_domains domains (fun () ->
-        R.Scenario.sweep ~shrink:false ~prefix_share scn ~seeds)
-  in
-  let t_sw_loop = min_time (fun () -> sweep ~prefix_share:false ()) in
-  let t_sw_shared = min_time (fun () -> sweep ~prefix_share:true ()) in
-  let sw_ref = R.Report.to_text (sweep ~prefix_share:false ()) in
-  let sw_identical =
-    List.for_all
-      (fun r -> String.equal sw_ref (R.Report.to_text (r ())))
-      [ (fun () -> sweep ~prefix_share:true ());
-        (fun () -> sweep ~prefix_share:true ~domains ()) ]
+  let t_sw_loop, t_sw_shared, sw_identical =
+    sweep_row ~label:"robustness sweep, dropout windows from t>=186"
+      ~samples:1
+      (door_dropout ~name:"door-lock-late-dropout" (fun seed ->
+           186 + (seed mod 8)))
+      ~seeds:(List.init 1000 (fun i -> i + 1))
   in
   let ratio_sw = t_sw_loop /. t_sw_shared in
-  Printf.printf
-    "robustness sweep, %d seeds x %d ticks, dropout windows from t>=186: \
-     looped %.1f ms, prefix-shared %.1f ms (%.1fx); reports \
-     byte-identical (serial/domains): %b\n"
-    (List.length seeds) sweep_ticks (t_sw_loop *. 1e3) (t_sw_shared *. 1e3)
-    ratio_sw sw_identical;
-  (* shared/replayed tick accounting of the shared sweep (the
-     EXPERIMENTS E22 table); counters are inert without this sink *)
-  let m = Automode_obs.Metrics.create () in
-  ignore
-    (Automode_obs.Probe.with_sink
-       (Automode_obs.Probe.standard m)
-       (fun () -> sweep ~prefix_share:true ()));
-  print_string (Automode_obs.Metrics.to_text m);
-  if not (lit_identical && sw_identical) then begin
+  let _, t_door8, door8_identical =
+    sweep_row ~label:"door-lock spread dropout" ~samples:10
+      (door_dropout ~name:"door-lock-spread-dropout" (fun seed ->
+           10 + (23 * (seed mod 8))))
+      ~seeds:(List.init 8 (fun i -> i + 1))
+  in
+  let _, t_rand400, rand400_identical =
+    sweep_row ~label:"random-dfd-400 spread dropout" ~samples:10
+      (R.Scenario.make ~name:"rand400-spread-dropout"
+         ~component:(Workloads.random_dfd_component ~seed:400 ~n:400)
+         ~ticks:32
+         ~inputs:(fun t ->
+           [ ("src", Value.Present (Value.Float (float_of_int (t mod 7) -. 3.)))
+           ])
+         ~faults:(fun seed ->
+           let from_tick = 3 + (7 * (seed mod 4)) in
+           [ R.Fault.dropout ~flow:"src"
+               (R.Fault.Window { from_tick; until_tick = from_tick + 2 }) ])
+         ~monitors:
+           [ R.Monitor.range ~name:"dst-bounded" ~flow:"dst" ~lo:(-100.)
+               ~hi:100. ]
+         ())
+      ~seeds:[ 0; 1; 2; 3 ]
+  in
+  if
+    not
+      (lit_identical && sw_identical && door8_identical && rand400_identical)
+  then begin
     print_endline "prefix-shared vs looped report identity: FAILED";
     exit 1
   end;
@@ -828,7 +878,9 @@ let e22_prefix ~domains () =
   [ ("litmus/E22-litmus-looped-k2", t_lit_loop *. 1e9);
     ("litmus/E22-litmus-shared-k2", t_lit_shared *. 1e9);
     ("robust/E22-sweep-looped-1000", t_sw_loop *. 1e9);
-    ("robust/E22-sweep-shared-1000", t_sw_shared *. 1e9) ]
+    ("robust/E22-sweep-shared-1000", t_sw_shared *. 1e9);
+    ("robust/E22-sweep-spread-door8", t_door8 *. 1e9);
+    ("robust/E22-sweep-spread-rand400", t_rand400 *. 1e9) ]
 
 (* ------------------------------------------------------------------ *)
 (* Benchmarks                                                         *)

@@ -20,10 +20,16 @@ val record_ordered : t -> (string * Value.message) list -> t
     if the invariant is violated. *)
 
 val length : t -> int
+(** The number of recorded ticks. *)
+
 val flows : t -> string list
+(** The flow names, in column order. *)
 
 val get : t -> flow:string -> tick:int -> Value.message
-(** @raise Not_found on unknown flows; [Absent] beyond the last tick. *)
+(** The message on [flow] at [tick].  Costs O(ticks) per call (a walk
+    of the tick list), so a scan over every tick should read the
+    flow's {!column} or {!columns} once instead.
+    @raise Not_found on unknown flows; [Absent] beyond the last tick. *)
 
 val column : t -> string -> Value.message list
 (** The full message stream of one flow.  @raise Not_found. *)
@@ -55,6 +61,7 @@ val pp : Format.formatter -> t -> unit
 (** Fig. 1-style table: one row per flow, one column per tick. *)
 
 val to_string : t -> string
+(** {!pp} rendered to a string. *)
 
 val to_csv : t -> string
 (** Comma-separated export: header [tick,<flow>,...], one line per tick,

@@ -24,23 +24,23 @@ let fresh ~flow ~max_gap =
   Monitor.predicate
     ~name:(Printf.sprintf "derived-fresh:%s" flow)
     (fun trace ->
-      let n = Trace.length trace in
-      let rec scan tick gap seen =
-        if tick >= n then None
-        else
-          match Trace.get trace ~flow ~tick with
-          | Value.Present _ -> scan (tick + 1) 0 true
-          | Value.Absent ->
-            if seen && gap + 1 > max_gap then
-              Some
-                ( tick,
-                  Printf.sprintf "%s stale for %d > %d ticks" flow (gap + 1)
-                    max_gap )
-            else scan (tick + 1) (gap + 1) seen
-          | exception Not_found ->
-            Some (0, Printf.sprintf "flow %s missing from trace" flow)
+      (* one walk over the flow's column, not a [Trace.get] per tick *)
+      let rec scan tick gap seen = function
+        | [] -> None
+        | Value.Present _ :: rest -> scan (tick + 1) 0 true rest
+        | Value.Absent :: rest ->
+          if seen && gap + 1 > max_gap then
+            Some
+              ( tick,
+                Printf.sprintf "%s stale for %d > %d ticks" flow (gap + 1)
+                  max_gap )
+          else scan (tick + 1) (gap + 1) seen rest
       in
-      scan 0 0 false)
+      match Trace.column trace flow with
+      | column -> scan 0 0 false column
+      | exception Not_found ->
+        if Trace.length trace = 0 then None
+        else Some (0, Printf.sprintf "flow %s missing from trace" flow))
 
 let range ~flow ~lo ~hi =
   Monitor.range ~name:(Printf.sprintf "derived-range:%s" flow) ~flow ~lo ~hi

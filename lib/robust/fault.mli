@@ -38,9 +38,20 @@ type kind =
 type t
 
 val stuck_at_last : flow:string -> activation -> t
+(** [flow] repeats its last present message while active
+    ({!Stuck_at_last}). *)
+
 val dropout : flow:string -> activation -> t
+(** [flow] carries no message while active ({!Dropout}). *)
+
 val noise : ?seed:int -> flow:string -> amplitude:float -> activation -> t
+(** Additive uniform noise of at most [amplitude] on [flow]'s numeric
+    values while active ({!Noise}); [seed] (default 0) keys the draws. *)
+
 val spike : flow:string -> value:Value.t -> activation -> t
+(** [flow] carries [value] while active, even on silent ticks
+    ({!Spike}). *)
+
 val delayed : flow:string -> by:int -> activation -> t
 (** Constructors.  @raise Invalid_argument on negative windows, delays
     or amplitudes, or probabilities outside [0, 1]. *)
@@ -58,6 +69,7 @@ val ecu_reset : flows:string list -> at_tick:int -> down_ticks:int -> t list
     outage. *)
 
 val flow : t -> string
+(** The boundary flow the fault perturbs. *)
 
 val activation : t -> activation
 (** The fault's activation pattern — lets sequence generators sort and
@@ -116,3 +128,4 @@ val describe : t -> string
     counterexamples. *)
 
 val pp : Format.formatter -> t -> unit
+(** Prints {!describe}. *)

@@ -15,14 +15,20 @@ type verdict =
 type t
 
 val name : t -> string
+(** The monitor's name, as reports list it. *)
 
 val eval : t -> Trace.t -> verdict
 (** Evaluation is pure; a flow the monitor needs that is missing from
     the trace is itself a failure (at tick 0). *)
 
 val is_fail : verdict -> bool
+(** [true] on [Fail]. *)
+
 val verdict_to_string : verdict -> string
+(** ["pass"], or ["FAIL@t<tick> <reason>"]. *)
+
 val pp_verdict : Format.formatter -> verdict -> unit
+(** Prints {!verdict_to_string}. *)
 
 val range : name:string -> flow:string -> lo:float -> hi:float -> t
 (** Every present numeric message on [flow] stays within [lo, hi];

@@ -34,10 +34,19 @@ val make :
     @raise Invalid_argument on a negative horizon. *)
 
 val name : t -> string
+(** The scenario's name, as reports list it. *)
+
 val ticks : t -> int
+(** The simulation horizon. *)
+
 val component : t -> Model.component
+(** The component under test. *)
+
 val monitors : t -> string list
+(** The monitors' names, in evaluation order. *)
+
 val faults : t -> seed:int -> Fault.t list
+(** The fault catalog drawn for [seed]. *)
 
 val prepare : t -> unit
 (** Force the index compilation now.  {!sweep} calls it before fanning

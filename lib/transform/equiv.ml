@@ -70,6 +70,17 @@ let refines_with_latency ?(float_tol = 0.) ~window ~warmup ~flows ~reference
       Float.abs (x -. y) <= float_tol
     | _, _ -> Value.equal_message a b
   in
+  (* Each trace's columns are read once, as arrays: a [Trace.get] per
+     tick walks the tick list, O(ticks^2) per scan.  Same semantics:
+     [Absent] past a trace's end, [Not_found] for an unknown flow. *)
+  let getter trace =
+    let cols = lazy (Trace.columns trace) in
+    fun ~flow ~tick ->
+      let col = List.assoc flow (Lazy.force cols) in
+      if tick < 0 || tick >= Array.length col then Value.Absent
+      else col.(tick)
+  in
+  let get_refined = getter refined and get_reference = getter reference in
   let ticks = Trace.length refined in
   let rec scan_tick t =
     if t >= ticks then Ok ()
@@ -77,12 +88,11 @@ let refines_with_latency ?(float_tol = 0.) ~window ~warmup ~flows ~reference
       let bad_flow =
         List.find_opt
           (fun flow ->
-            match Trace.get refined ~flow ~tick:t with
+            match get_refined ~flow ~tick:t with
             | Value.Absent -> false
             | Value.Present _ as msg ->
               let matches d =
-                t - d >= 0
-                && close msg (Trace.get reference ~flow ~tick:(t - d))
+                t - d >= 0 && close msg (get_reference ~flow ~tick:(t - d))
               in
               not (List.exists matches (List.init (window + 1) Fun.id)))
           flows
@@ -93,7 +103,7 @@ let refines_with_latency ?(float_tol = 0.) ~window ~warmup ~flows ~reference
         Error
           { d_tick = t;
             d_flow = flow;
-            d_left = Trace.get reference ~flow ~tick:t;
-            d_right = Trace.get refined ~flow ~tick:t }
+            d_left = get_reference ~flow ~tick:t;
+            d_right = get_refined ~flow ~tick:t }
   in
   scan_tick warmup

@@ -51,14 +51,14 @@ git grep --untracked -nIE -e '[?~]\(?domains([^A-Za-z0-9_]|$)' -- \
   ':!lib/robust/parallel.mli' ':!lib/serve/daemon.ml' >"$tmp" || true
 report "?domains/~domains label in lib/ outside Parallel and Daemon"
 
-# Every public value in the observability, redundancy and campaign
-# service interfaces, the simulator and the campaign executor must
-# carry an odoc comment (this repo documents
+# Every public value in the observability, robustness, redundancy and
+# campaign service interfaces, the simulator and traces must carry an
+# odoc comment (this repo documents
 # values with a (** ... *) immediately after the declaration).  A val
 # with no doc comment before the next val (or EOF) is flagged.
 for f in lib/obs/*.mli lib/litmus/*.mli lib/proptest/*.mli lib/redund/*.mli \
-  lib/serve/*.mli lib/core/sim.mli lib/robust/exec.mli lib/osek/draw.mli \
-  lib/robust/parallel.mli; do
+  lib/serve/*.mli lib/core/sim.mli lib/core/trace.mli lib/robust/*.mli \
+  lib/osek/draw.mli; do
   awk -v file="$f" '
     /^val / {
       if (pending != "" && !documented)
@@ -72,6 +72,6 @@ for f in lib/obs/*.mli lib/litmus/*.mli lib/proptest/*.mli lib/redund/*.mli \
     }
   ' "$f"
 done >"$tmp"
-report "undocumented public .mli value (lib/obs, lib/litmus, lib/proptest, lib/redund, lib/serve, lib/core/sim.mli, lib/robust/exec.mli, lib/osek/draw.mli, lib/robust/parallel.mli)"
+report "undocumented public .mli value (lib/obs, lib/litmus, lib/proptest, lib/redund, lib/serve, lib/robust, lib/core/sim.mli, lib/core/trace.mli, lib/osek/draw.mli)"
 
 exit $status

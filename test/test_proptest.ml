@@ -215,6 +215,59 @@ let test_derive_fresh () =
     (Monitor.eval m ok = Monitor.Pass);
   checkb "gap over max_gap fails" true (Monitor.is_fail (Monitor.eval m stale))
 
+(* Reference for [Derive.fresh]: the same scan through one [Trace.get]
+   per tick, O(ticks^2). *)
+let fresh_by_get ~flow ~max_gap trace =
+  let n = Trace.length trace in
+  let rec scan tick gap seen =
+    if tick >= n then None
+    else
+      match Trace.get trace ~flow ~tick with
+      | Value.Present _ -> scan (tick + 1) 0 true
+      | Value.Absent ->
+        if seen && gap + 1 > max_gap then
+          Some
+            ( tick,
+              Printf.sprintf "%s stale for %d > %d ticks" flow (gap + 1)
+                max_gap )
+        else scan (tick + 1) (gap + 1) seen
+      | exception Not_found ->
+        Some (0, Printf.sprintf "flow %s missing from trace" flow)
+  in
+  scan 0 0 false
+
+(* 2000 ticks: silent start, then gaps of growing length on "x"; the
+   first gap over [max_gap] opens late, so the scan crosses most of the
+   trace.  Verdict and reason equal the [Trace.get] reference, for a
+   failing, a passing and a missing flow. *)
+let test_derive_fresh_long_trace () =
+  let v = Value.Present (Value.Int 1) in
+  let trace =
+    trace_of ~flows:[ "x"; "y" ]
+      (List.init 2000 (fun t ->
+           let gap = if t < 1800 then 3 else 7 in
+           if t >= 5 && t mod (gap + 1) = 0 then [ ("x", v); ("y", v) ]
+           else [ ("y", v) ]))
+  in
+  List.iter
+    (fun (flow, max_gap) ->
+      let expected =
+        Monitor.eval
+          (Monitor.predicate ~name:(Printf.sprintf "derived-fresh:%s" flow)
+             (fresh_by_get ~flow ~max_gap))
+          trace
+      in
+      let got = Monitor.eval (Derive.fresh ~flow ~max_gap) trace in
+      Alcotest.(check string)
+        (Printf.sprintf "%s, max_gap %d" flow max_gap)
+        (Monitor.verdict_to_string expected)
+        (Monitor.verdict_to_string got))
+    [ ("x", 4); ("x", 7); ("y", 1); ("z", 3) ];
+  checkb "late stale gap fails" true
+    (match Monitor.eval (Derive.fresh ~flow:"x" ~max_gap:4) trace with
+     | Monitor.Fail { at_tick; _ } -> at_tick > 1800
+     | Monitor.Pass -> false)
+
 let test_derive_monitors_from_ports () =
   let names =
     List.map Monitor.name
@@ -375,6 +428,8 @@ let () =
         [ Alcotest.test_case "finite" `Quick test_derive_finite;
           Alcotest.test_case "conforms" `Quick test_derive_conforms;
           Alcotest.test_case "fresh" `Quick test_derive_fresh;
+          Alcotest.test_case "fresh on a long trace" `Quick
+            test_derive_fresh_long_trace;
           Alcotest.test_case "monitors from ports" `Quick
             test_derive_monitors_from_ports ] );
       ( "builder",

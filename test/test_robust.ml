@@ -1011,8 +1011,9 @@ let exec_traces ?share cases =
     cases
 
 (* The plan matrix: 1, W-1, W, W+1 and 3W+2 cases, over an all-tick-0
-   catalog and over mixed fork ticks (tick 0, shared late forks, and a
-   never-active catalog) — the default plan, the looped reference and
+   catalog, over mixed fork ticks (tick 0, shared late forks, and a
+   never-active catalog) and over a spread catalog where every case
+   forks at its own tick — the default plan, the looped reference and
    the plan over 4 domains each equal the per-case interpreted run. *)
 let test_exec_plan_matrix () =
   let w = Exec.width in
@@ -1044,7 +1045,8 @@ let test_exec_plan_matrix () =
                 Parallel.with_domains 4 (fun () -> exec_traces cases) ) ])
         [ 1; w - 1; w; w + 1; (3 * w) + 2 ])
     [ ("tick-0", fun _ -> 0);
-      ("mixed", fun seed -> [| 0; 9; 21; 21; exec_ticks |].(seed mod 5)) ]
+      ("mixed", fun seed -> [| 0; 9; 21; 21; exec_ticks |].(seed mod 5));
+      ("spread", fun seed -> 1 + seed) ]
 
 (* Direct executor check: traces come back in case order and equal the
    per-case interpreted run; the probe counters fire only under a
@@ -1075,17 +1077,22 @@ let test_prefix_traces_and_counters () =
         (Trace.equal shared.(i) (Sim.run ~ticks ~inputs Door_lock.component)))
     cases;
   let v k = Option.value ~default:0 (Automode_obs.Metrics.value m k) in
-  checki "three distinct fork ticks" 3 (v "campaign.prefix.groups");
+  (* forks 22,22,22 | 21,21,21,20,20,20: two chunks, from 22 and 20 *)
+  checki "two distinct chunk starts" 2 (v "campaign.prefix.groups");
   checki "every case forked" 9 (v "campaign.prefix.forks");
-  checkb "shared ticks counted" true (v "campaign.prefix.shared_ticks" > 0);
+  checki "shared ticks: 3 x 22 + 6 x 20" 186
+    (v "campaign.prefix.shared_ticks");
+  checki "replayed ticks: trunk 22 + 3 x 18 + 6 x 20" 196
+    (v "campaign.prefix.replayed_ticks");
   ignore
     (Exec.traces ~ix ~ticks ~base_inputs:base
        ~base_schedule:Clock.no_events cases);
   checki "no sink, counters unchanged" 9 (v "campaign.prefix.forks")
 
 (* The probe counts depend on the cases only, never on the domain
-   count; tick-0 cases run from reset, so they add no fork group and no
-   snapshot capture. *)
+   count.  Forks 25,25,12,12,12,12 share one chunk from tick 12; the
+   five tick-0 cases form a chunk that runs from reset, so it adds no
+   fork group and no snapshot capture. *)
 let test_exec_counters_plan_independent () =
   let fork seed = [| 0; 0; 12; 12; 25 |].(seed mod 5) in
   let cases = Array.init 11 (exec_case fork) in
@@ -1110,10 +1117,52 @@ let test_exec_counters_plan_independent () =
     keys
     (List.combine serial (counts 4));
   let v k = List.assoc k (List.combine keys serial) in
-  checki "groups: distinct fork ticks above 0" 2 (v "campaign.prefix.groups");
-  checki "one capture per group" 2 (v "sim.snapshot.capture");
+  checki "groups: distinct chunk starts above 0" 1 (v "campaign.prefix.groups");
+  checki "one capture per group" 1 (v "sim.snapshot.capture");
   checki "forks: cases past tick 0" 6 (v "campaign.prefix.forks");
-  checki "one restore per fork" 6 (v "sim.snapshot.restore")
+  checki "one restore per fork" 6 (v "sim.snapshot.restore");
+  checki "shared ticks: 6 x 12" 72 (v "campaign.prefix.shared_ticks");
+  checki "replayed ticks: trunk 12 + 6 x 28 + 5 x 40" 380
+    (v "campaign.prefix.replayed_ticks")
+
+(* The cost model both ways on the 40-tick door lock.  Forks 5, 12, 19
+   and 26 merge into one chunk from tick 5: (40 - 5) x (2 + 4) = 210
+   beats every finer cut (four singletons cost 294).  Seven forks at 30
+   and two at 10 stay two chunks: 10 x 9 + 30 x 4 = 210, against 390
+   for a full chunk of eight from 10 plus one. *)
+let test_exec_plan_cost_model () =
+  let run forks =
+    let cases = Array.init (Array.length forks) (exec_case (Array.get forks)) in
+    let m = Automode_obs.Metrics.create () in
+    let traces =
+      Automode_obs.Probe.with_sink (Automode_obs.Probe.standard m) (fun () ->
+          exec_traces cases)
+    in
+    Array.iteri
+      (fun i (_, inputs, schedule) ->
+        checks
+          (Printf.sprintf "case %d equals interpreted" i)
+          (Trace.to_csv
+             (Sim.run ~schedule ~ticks:exec_ticks ~inputs Door_lock.component))
+          (Trace.to_csv traces.(i)))
+      cases;
+    fun k -> Option.value ~default:0 (Automode_obs.Metrics.value m k)
+  in
+  let v = run [| 5; 12; 19; 26 |] in
+  checki "merged: one group" 1 (v "campaign.prefix.groups");
+  checki "merged: four forks" 4 (v "campaign.prefix.forks");
+  checki "merged: 4 x 5 shared ticks" 20 (v "campaign.prefix.shared_ticks");
+  checki "merged: trunk 5 + 4 x 35 replayed" 145
+    (v "campaign.prefix.replayed_ticks");
+  checki "merged: one capture" 1 (v "sim.snapshot.capture");
+  let v = run [| 30; 10; 30; 30; 30; 10; 30; 30; 30 |] in
+  checki "split: two groups" 2 (v "campaign.prefix.groups");
+  checki "split: nine forks" 9 (v "campaign.prefix.forks");
+  checki "split: 7 x 30 + 2 x 10 shared ticks" 230
+    (v "campaign.prefix.shared_ticks");
+  checki "split: trunk 30 + 7 x 10 + 2 x 30 replayed" 160
+    (v "campaign.prefix.replayed_ticks");
+  checki "split: two captures" 2 (v "sim.snapshot.capture")
 
 let () =
   Alcotest.run "automode-robust"
@@ -1221,6 +1270,7 @@ let () =
           Alcotest.test_case "degenerate tick-0 catalog" `Quick
             test_prefix_degenerate_tick0;
           Alcotest.test_case "plan matrix" `Quick test_exec_plan_matrix;
+          Alcotest.test_case "plan cost model" `Quick test_exec_plan_cost_model;
           Alcotest.test_case "counters independent of domains" `Quick
             test_exec_counters_plan_independent;
           Alcotest.test_case "traces and counters" `Quick

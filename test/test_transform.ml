@@ -822,12 +822,108 @@ let test_mtd_to_dataflow_is_deployable () =
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
+(* Reference for [Equiv.refines_with_latency] (exact float match): the
+   same scan through [Trace.get] per tick and per window offset,
+   O(ticks^2). *)
+let refines_by_get ~window ~warmup ~flows ~reference refined =
+  let ticks = Trace.length refined in
+  let rec scan_tick t =
+    if t >= ticks then None
+    else
+      let bad_flow =
+        List.find_opt
+          (fun flow ->
+            match Trace.get refined ~flow ~tick:t with
+            | Value.Absent -> false
+            | Value.Present _ as msg ->
+              let matches d =
+                t - d >= 0
+                && Value.equal_message msg
+                     (Trace.get reference ~flow ~tick:(t - d))
+              in
+              not (List.exists matches (List.init (window + 1) Fun.id)))
+          flows
+      in
+      match bad_flow with
+      | None -> scan_tick (t + 1)
+      | Some flow ->
+        Some
+          ( t,
+            flow,
+            Trace.get reference ~flow ~tick:t,
+            Trace.get refined ~flow ~tick:t )
+  in
+  scan_tick warmup
+
+(* 2000-tick reference and a copy delayed by one tick: within a window
+   of 1 it refines; one corrupted late value (tick 1900) is the
+   divergence, with the same record as the [Trace.get] reference; a
+   reference shorter than the refined trace reads as absent. *)
+let test_refines_with_latency_long_trace () =
+  let flows = [ "a"; "b" ] in
+  let msg f t =
+    Value.Present (Value.Int ((t * 7) + if f = "a" then 0 else 1))
+  in
+  let mk ~ticks row =
+    List.fold_left Trace.record (Trace.make ~flows) (List.init ticks row)
+  in
+  let at t = List.map (fun f -> (f, msg f t)) flows in
+  let reference = mk ~ticks:2000 at in
+  let delayed corrupt =
+    mk ~ticks:2000 (fun t ->
+        if t = 0 then []
+        else if t = corrupt then
+          [ ("a", msg "a" (t - 1)); ("b", Value.Present (Value.Int (-1))) ]
+        else at (t - 1))
+  in
+  let short = mk ~ticks:1500 at in
+  let cases =
+    [ ("delayed", reference, delayed (-1), 1);
+      ("corrupted at 1900", reference, delayed 1900, 1);
+      ("window 0", reference, delayed (-1), 0);
+      ("short reference", short, delayed (-1), 1) ]
+  in
+  List.iter
+    (fun (label, reference, refined, window) ->
+      let expected =
+        refines_by_get ~window ~warmup:2 ~flows ~reference refined
+      in
+      let got =
+        match
+          Equiv.refines_with_latency ~window ~warmup:2 ~flows ~reference
+            refined
+        with
+        | Ok () -> None
+        | Error d -> Some (d.Equiv.d_tick, d.d_flow, d.d_left, d.d_right)
+      in
+      let show = function
+        | None -> "refines"
+        | Some (t, f, l, r) ->
+          Printf.sprintf "t%d %s %s/%s" t f (Value.message_to_string l)
+            (Value.message_to_string r)
+      in
+      Alcotest.(check string) label (show expected) (show got))
+    cases;
+  checkb "delayed copy refines" true
+    (Equiv.refines_with_latency ~window:1 ~warmup:2 ~flows ~reference
+       (delayed (-1))
+     = Ok ());
+  checkb "late corruption found at 1900" true
+    (match
+       Equiv.refines_with_latency ~window:1 ~warmup:2 ~flows ~reference
+         (delayed 1900)
+     with
+     | Error d -> d.Equiv.d_tick = 1900 && d.d_flow = "b"
+     | Ok () -> false)
+
 let () =
   Alcotest.run "automode-transform"
     [ ( "equiv",
         [ Alcotest.test_case "identical vs different" `Quick test_equiv_identical;
           Alcotest.test_case "deterministic stimuli" `Quick test_equiv_deterministic_inputs;
-          Alcotest.test_case "presence" `Quick test_equiv_presence ] );
+          Alcotest.test_case "presence" `Quick test_equiv_presence;
+          Alcotest.test_case "latency refinement on a long trace" `Quick
+            test_refines_with_latency_long_trace ] );
       ( "whitebox",
         [ Alcotest.test_case "throttle equivalence" `Quick test_whitebox_throttle_equiv;
           Alcotest.test_case "report" `Quick test_whitebox_report;
